@@ -20,4 +20,4 @@ from .multipole import (ExpansionSpec, CoeffTable, admissible_pair,
 from .verify import (QuadratureGrid, build_grid, orthogonality_report,
                      project_multipole)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -8,12 +8,11 @@ All angular momenta and projections are passed as doubled integers (2j,
 2m), so half-integer values stay exact.  Phases follow Condon-Shortley.
 """
 
-import cmath
 import math
 
 import numpy as np
 
-from .special import gegenbauer, log_factorial
+from .special import double_factorial, gegenbauer, log_factorial
 
 __all__ = [
     "validate_jm",
@@ -139,10 +138,7 @@ def gen_character(tl, lam, omega):
     half = 0.5 * np.asarray(omega, dtype=float)
     pre = math.exp(0.5 * (log_factorial(tl - lam)
                           - log_factorial(tl + lam + 1)))
-    dfac = 1.0
-    for m in range(2 * lam, 1, -2):
-        dfac *= m
-    value = (dfac * math.sqrt(tl + 1.0) * pre
+    value = (double_factorial(2 * lam) * math.sqrt(tl + 1.0) * pre
              * np.sin(half) ** lam * gegenbauer(lam + 1, tl - lam, np.cos(half)))
     if np.isscalar(omega) or np.asarray(omega).ndim == 0:
         return float(value)
@@ -154,10 +150,8 @@ def _assoc_legendre(lam, alpha, x):
     # P_a^a = (-1)^a (2a-1)!! (1 - x^2)^(a/2), then upward recurrence in degree.
     paa = (-1.0) ** alpha * np.ones_like(x)
     if alpha > 0:
-        dfac = 1.0
-        for m in range(2 * alpha - 1, 1, -2):
-            dfac *= m
-        paa = (-1.0) ** alpha * dfac * (1.0 - x * x) ** (alpha / 2.0)
+        paa = ((-1.0) ** alpha * double_factorial(2 * alpha - 1)
+               * (1.0 - x * x) ** (alpha / 2.0))
     if lam == alpha:
         return paa
     prev = paa

@@ -16,7 +16,7 @@ import numpy as np
 
 from .angular import cgc3, wigner6j, wigner9j
 from .harmonics import (c_components, c_flat_index, h_components,
-                        h_flat_index)
+                        h_flat_index, hsh_c, hsh_h)
 from .special import log_factorial
 
 __all__ = [
@@ -87,15 +87,13 @@ def ninej4_closed(k, l, lp, j):
     """Closed form of the 4D 9j pattern [k k 0; l-k j-l+k j; l l' j]."""
     if k < 0 or not 0 <= k <= l or j - l + k < 0:
         raise ValueError("invalid pattern arguments")
-    if (j + l + lp) % 2 != 0 or lp < 0:
+    if (j + l + lp) % 2 != 0 or lp < 0 or (j + l - lp) / 2 + 1 <= 0:
         return 0.0
     pre = math.exp(log_factorial(k) + log_factorial(j - l + k)
                    - log_factorial(l + 1) - log_factorial(j + 1)) \
         / ((k + 1.0) * (j + 1.0))
     num = (math.gamma((j + l + lp) / 2 + 2)
-           * math.gamma((j + l - lp) / 2 + 1)) if (j + l - lp) / 2 + 1 > 0 else None
-    if num is None:
-        return 0.0
+           * math.gamma((j + l - lp) / 2 + 1))
     return (pre * num
             * _inv_gamma((j - l - lp) / 2 + k + 1)
             * _inv_gamma((j - l + lp) / 2 + k + 2))
@@ -274,6 +272,8 @@ def linearize_product(family, j1, idx1, j2, idx2, v):
     family.  Returns a list of (j, idx, coefficient, harmonic_value); the
     sum of coefficient * harmonic_value reproduces the pointwise product.
     """
+    if family not in ("h", "c"):
+        raise ValueError(f"family must be 'h' or 'c', got {family!r}")
     terms = []
     for j in range(abs(j1 - j2), j1 + j2 + 1, 2):
         if family == "h":
@@ -284,16 +284,12 @@ def linearize_product(family, j1, idx1, j2, idx2, v):
             c = cgc4_h(j1, idx1[0], idx1[1], j2, idx2[0], idx2[1],
                        j, tmu, tnu)
             if c != 0.0:
-                from .harmonics import hsh_h
                 terms.append((j, (tmu, tnu), c, hsh_h(j, tmu, tnu, v)))
-        elif family == "c":
+        else:
             alf = idx1[1] + idx2[1]
             for lam in range(abs(alf), j + 1):
                 c = cgc4_c(j1, idx1[0], idx1[1], j2, idx2[0], idx2[1],
                            j, lam, alf)
                 if c != 0.0:
-                    from .harmonics import hsh_c
                     terms.append((j, (lam, alf), c, hsh_c(j, lam, alf, v)))
-        else:
-            raise ValueError(f"family must be 'h' or 'c', got {family!r}")
     return terms

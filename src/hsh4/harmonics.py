@@ -11,11 +11,11 @@ C_j over the flat index lam^2 + lam + alpha.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .angular import cgc3, gen_character, mod_sph_harm, rotation_u, validate_jm
-from .special import gegenbauer
 
 __all__ = [
     "HyperAngles",
@@ -152,7 +152,8 @@ def c_components(j, v):
     return out
 
 
-def _h_to_c_matrix(j):
+@lru_cache(maxsize=None)
+def h_to_c_matrix(j):
     """Unitary map T with C = T H over the flat component orderings.
 
     C_{j,lam,alf} = sqrt((2 lam+1)/(j+1))
@@ -174,15 +175,6 @@ def _h_to_c_matrix(j):
                 t[row, h_flat_index(j, tmu, tnu)] = pre * cgc3(
                     j, tmu, 2 * lam, 2 * alpha, j, tnu)
     return t
-
-
-_H_TO_C_CACHE = {}
-
-
-def h_to_c_matrix(j):
-    if j not in _H_TO_C_CACHE:
-        _H_TO_C_CACHE[j] = _h_to_c_matrix(j)
-    return _H_TO_C_CACHE[j]
 
 
 def c_from_h(j, h_values):

@@ -19,7 +19,8 @@ import numpy as np
 
 from .coupling import bipolar_values
 from .harmonics import c_components
-from .special import DEFAULT_SERIES, SeriesControl, hyp0f1, hyp2f1, pochhammer
+from .special import (DEFAULT_SERIES, SeriesControl, double_factorial, hyp0f1,
+                      hyp2f1, pochhammer)
 
 __all__ = [
     "ExpansionSpec", "CoeffTable", "admissible_pair", "plane_wave_radial",
@@ -97,12 +98,8 @@ def scalar_power_coeff(n, l):
     if n < 0 or l < 0 or l > n or (n - l) % 2:
         return 0.0
     num = math.factorial(n) * 2.0 * (l + 1)
-    den = _double_fac(n - l) * _double_fac(n + l + 2)
+    den = double_factorial(n - l) * double_factorial(n + l + 2)
     return num / den
-
-
-def _double_fac(n):
-    return 1.0 if n <= 0 else float(math.prod(range(n, 0, -2)))
 
 
 def laplacian_power(n, j, k):
@@ -204,8 +201,7 @@ class CoeffTable:
 
 def _pair_range(j, l):
     """Admissible lp values for given (j, l)."""
-    return range(abs(j - l) if (j - l) % 2 == 0 else abs(j - l),
-                 j + l + 1, 2)
+    return range(abs(j - l), j + l + 1, 2)
 
 
 def expand_translated(spec):

@@ -1,10 +1,15 @@
-"""Independent numerical oracles: quadrature on the 4-sphere.
+"""Independent numerical oracles and the named verification suites.
 
-Everything here deliberately avoids the analytic evaluation paths of the
-sibling modules: harmonics are rebuilt from scipy's Gegenbauer and
+The quadrature oracles deliberately avoid the analytic evaluation paths of
+the sibling modules: harmonics are rebuilt from scipy's Gegenbauer and
 spherical-harmonic routines, and expansion coefficients are recovered by
 projection integrals rather than hypergeometric series.  Agreement between
 the two routes is the package's primary self-check.
+
+The suites behind ``hsh4 verify`` live here as well.  The orthogonality
+suite integrates the scipy route; the coupling and expansion suites instead
+cross-check analytic closed forms against each other (CGC orthogonality and
+appendix cases, multipole tables against the translated kernel itself).
 """
 
 import math
@@ -12,12 +17,13 @@ import math
 import numpy as np
 from scipy.special import eval_gegenbauer, sph_harm_y
 
-from .coupling import bipolar_plan
-from .harmonics import c_flat_index, h_to_c_matrix
+from .coupling import bipolar_plan, cgc4_c, cgc4_c_closed
+from .harmonics import c_components, c_flat_index, h_to_c_matrix
+from .multipole import ExpansionSpec, eval_expansion, expand_translated
 
 __all__ = [
-    "QuadratureGrid", "build_grid", "family_matrix", "gram_matrix",
-    "orthogonality_report", "project_multipole", "check_entry",
+    "QuadratureGrid", "build_grid", "gram_matrix", "orthogonality_report",
+    "project_multipole", "check_entry", "expansion_checks", "coupling_checks",
 ]
 
 _S3_VOLUME = 2.0 * math.pi ** 2
@@ -49,13 +55,6 @@ class QuadratureGrid:
     def weights(self):
         """Flat array of node weights (outer product order)."""
         return np.einsum("i,j,k->ijk", self.w0, self.w1, self.w2).ravel()
-
-    @property
-    def nodes(self):
-        """Flat (N, 3) array of (theta0, theta, phi) triples."""
-        t0, t, p = np.meshgrid(self.theta0, self.theta, self.phi,
-                               indexing="ij")
-        return np.column_stack([t0.ravel(), t.ravel(), p.ravel()])
 
     def vectors(self):
         """Flat (N, 4) array of unit vectors (x, y, z, z0)."""
@@ -99,17 +98,27 @@ def _chi(j, lam, theta0):
             * eval_gegenbauer(j - lam, lam + 1, np.cos(theta0)))
 
 
+def _c_radial(j, lam, theta0):
+    """(-i)^lam sqrt((2 lam+1)/(j+1)) chi^{j/2}_lam(2 theta0), scipy route."""
+    return ((-1j) ** lam * math.sqrt((2 * lam + 1.0) / (j + 1.0))
+            * _chi(j, lam, theta0))
+
+
+def _c_angular(lam, alpha, theta, phi):
+    """sqrt(4 pi/(2 lam+1)) Y_{lam alpha}(theta, phi), scipy route."""
+    return (math.sqrt(4.0 * np.pi / (2 * lam + 1))
+            * sph_harm_y(lam, alpha, theta, phi))
+
+
 def c_harmonics_at(j, theta0, theta, phi):
     """All C_{j,lam,alpha} values at given angle arrays: shape ((j+1)^2, N)."""
     theta0 = np.asarray(theta0, dtype=float)
     out = np.empty(((j + 1) ** 2,) + theta0.shape, dtype=complex)
     for lam in range(j + 1):
-        radial = ((-1j) ** lam * math.sqrt((2 * lam + 1.0) / (j + 1.0))
-                  * _chi(j, lam, theta0))
+        radial = _c_radial(j, lam, theta0)
         for alpha in range(-lam, lam + 1):
-            ang = (math.sqrt(4.0 * np.pi / (2 * lam + 1))
-                   * sph_harm_y(lam, alpha, theta, phi))
-            out[c_flat_index(lam, alpha)] = radial * ang
+            out[c_flat_index(lam, alpha)] = (
+                radial * _c_angular(lam, alpha, theta, phi))
     return out
 
 
@@ -127,53 +136,15 @@ def c_harmonics_at_vectors(j, vecs):
     return c_harmonics_at(j, theta0, theta, phi)
 
 
-def family_matrix(family, j_max, grid):
-    """Stacked harmonic values on the grid: rows over all (j, index), j <= j_max.
-
-    Evaluation factorises over the product grid; the phi x theta part uses
-    scipy spherical harmonics, the theta0 part scipy Gegenbauer polynomials.
-    """
-    n0, n1, n2 = grid.shape
-    blocks = []
-    t, p = np.meshgrid(grid.theta, grid.phi, indexing="ij")
-    for j in range(j_max + 1):
-        block = np.empty(((j + 1) ** 2, n0, n1 * n2), dtype=complex)
-        for lam in range(j + 1):
-            radial = ((-1j) ** lam * math.sqrt((2 * lam + 1.0) / (j + 1.0))
-                      * _chi(j, lam, grid.theta0))
-            for alpha in range(-lam, lam + 1):
-                ang = (math.sqrt(4.0 * np.pi / (2 * lam + 1))
-                       * sph_harm_y(lam, alpha, t, p)).ravel()
-                block[c_flat_index(lam, alpha)] = radial[:, None] * ang[None, :]
-        blocks.append(block.reshape((j + 1) ** 2, n0 * n1 * n2))
-    full = np.vstack(blocks)
-    if family == "c":
-        return full
-    if family == "h":
-        out = np.empty_like(full)
-        row = 0
-        for j in range(j_max + 1):
-            d = (j + 1) ** 2
-            T = h_to_c_matrix(j)
-            out[row:row + d] = T.T @ full[row:row + d]
-            row += d
-        return out
-    raise ValueError(f"family must be 'h' or 'c', got {family!r}")
-
-
 def _h_blockdiag_transform(G, j_max):
-    """Conjugate a C-family Gram blockwise into the H family."""
-    out = np.empty_like(G)
-    offs = [0]
+    """Conjugate a C-family Gram into the H family: T^T G T, T = diag(T_j)."""
+    T = np.zeros(G.shape)
+    row = 0
     for j in range(j_max + 1):
-        offs.append(offs[-1] + (j + 1) ** 2)
-    for j in range(j_max + 1):
-        Tj = h_to_c_matrix(j)
-        for jp in range(j_max + 1):
-            Tp = h_to_c_matrix(jp)
-            out[offs[j]:offs[j + 1], offs[jp]:offs[jp + 1]] = (
-                Tj.T @ G[offs[j]:offs[j + 1], offs[jp]:offs[jp + 1]] @ Tp)
-    return out
+        d = (j + 1) ** 2
+        T[row:row + d, row:row + d] = h_to_c_matrix(j)
+        row += d
+    return T.T @ G @ T
 
 
 def gram_matrix(family, j_max, grid):
@@ -183,6 +154,8 @@ def gram_matrix(family, j_max, grid):
     matrix is never materialised; the H-family result is the blockwise
     orthogonal transform of the C-family one.
     """
+    if family not in ("h", "c"):
+        raise ValueError(f"family must be 'h' or 'c', got {family!r}")
     n0, n1, n2 = grid.shape
     dim = sum((j + 1) ** 2 for j in range(j_max + 1))
     t, p = np.meshgrid(grid.theta, grid.phi, indexing="ij")
@@ -190,30 +163,25 @@ def gram_matrix(family, j_max, grid):
     for lam in range(j_max + 1):
         for alpha in range(-lam, lam + 1):
             ang[c_flat_index(lam, alpha)] = (
-                math.sqrt(4.0 * np.pi / (2 * lam + 1))
-                * sph_harm_y(lam, alpha, t, p)).ravel()
+                _c_angular(lam, alpha, t, p).ravel())
     wang = np.einsum("j,k->jk", grid.w1, grid.w2).ravel()
-    radial = np.empty((j_max + 1, j_max + 1, n0))
+    radial = np.empty((j_max + 1, j_max + 1, n0), dtype=complex)
     for j in range(j_max + 1):
         for lam in range(j + 1):
-            radial[j, lam] = (math.sqrt((2 * lam + 1.0) / (j + 1.0))
-                              * _chi(j, lam, grid.theta0))
+            radial[j, lam] = _c_radial(j, lam, grid.theta0)
     G = np.zeros((dim, dim), dtype=complex)
     V = np.empty((dim, n1 * n2), dtype=complex)
     for i in range(n0):
         row = 0
         for j in range(j_max + 1):
             for lam in range(j + 1):
-                pre = (-1j) ** lam * radial[j, lam, i]
                 lo, hi = c_flat_index(lam, -lam), c_flat_index(lam, lam)
-                V[row + lo:row + hi + 1] = pre * ang[lo:hi + 1]
+                V[row + lo:row + hi + 1] = radial[j, lam, i] * ang[lo:hi + 1]
             row += (j + 1) ** 2
         G += grid.w0[i] * ((V * wang) @ V.conj().T)
-    if family == "c":
-        return G
     if family == "h":
         return _h_blockdiag_transform(G, j_max)
-    raise ValueError(f"family must be 'h' or 'c', got {family!r}")
+    return G
 
 
 def check_entry(check, params, expected, observed, tol):
@@ -240,10 +208,10 @@ def orthogonality_report(j_max, grid, tol=1e-10):
     sizes = [(j + 1) ** 2 for j in range(j_max + 1)]
     diag_expected = np.concatenate(
         [np.full(d, _S3_VOLUME / (j + 1)) for j, d in enumerate(sizes)])
-    checks, grams = [], {}
-    for family in ("c", "h"):
-        G = gram_matrix(family, j_max, grid)
-        grams[family] = G
+    G = gram_matrix("c", j_max, grid)
+    grams = {"c": G, "h": _h_blockdiag_transform(G, j_max)}
+    checks = []
+    for family, G in grams.items():
         diag = np.real(np.diag(G))
         off = G - np.diag(np.diag(G))
         checks.append(check_entry(
@@ -363,3 +331,80 @@ def project_multipole(n, j, r1, r2, l, lp, grid=None, seeds=(7, 19),
         raise RuntimeError(
             f"projection seeds disagree by {spread:.3e}; grid too coarse")
     return float(np.mean(vals))
+
+
+def expansion_checks(tol, seed):
+    """Seeded residuals of four multipole tables against r^n C_j(r-hat)."""
+    checks = []
+    rng = np.random.default_rng(seed)
+    for (n, j) in ((1, 1), (2, 0), (3, 1), (-2, 0)):
+        spec = ExpansionSpec(n, j, 0.5, 1.0,
+                             l_max=30 if n > 0 else 32)
+        table = expand_translated(spec)
+        worst = 0.0
+        for _ in range(5):
+            h1 = rng.normal(size=4)
+            h1 /= np.linalg.norm(h1)
+            h2 = rng.normal(size=4)
+            h2 /= np.linalg.norm(h2)
+            r = 0.5 * h1 + 1.0 * h2
+            lhs = np.linalg.norm(r) ** n * c_components(j, r)
+            rhs = eval_expansion(table, j, h1, h2)
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))
+                                     / np.max(np.abs(lhs))))
+        checks.append(check_entry(
+            "expansion-residual", {"n": n, "j": j, "r1": 0.5, "r2": 1.0},
+            0.0, worst, max(tol, 1e-8)))
+    return checks
+
+
+def coupling_checks(tol, seed):
+    """C-type CGC orthogonality on seeded columns and the stretched closed form."""
+    checks = []
+    rng = np.random.default_rng(seed)
+    # CGC contraction orthogonality on random columns.
+    worst = 0.0
+    for _ in range(20):
+        j1, j2 = int(rng.integers(0, 4)), int(rng.integers(0, 4))
+        js = list(range(abs(j1 - j2), j1 + j2 + 1, 2))
+        j = int(rng.choice(js))
+        jq = int(rng.choice(js))
+        for lam, alf in ((j, 0), (0, 0)) if j == jq else ((j, 0),):
+            lamq = min(jq, lam)
+            acc = 0.0
+            for lam1 in range(j1 + 1):
+                for alf1 in range(-lam1, lam1 + 1):
+                    for lam2 in range(j2 + 1):
+                        alf2 = alf - alf1
+                        if abs(alf2) > lam2:
+                            continue
+                        acc += (cgc4_c(j1, lam1, alf1, j2, lam2, alf2,
+                                       j, lam, alf)
+                                * cgc4_c(j1, lam1, alf1, j2, lam2, alf2,
+                                         jq, lamq, alf))
+            expect = 1.0 if (j == jq and lam == lamq) else 0.0
+            worst = max(worst, abs(acc - expect))
+    checks.append(check_entry(
+        "cgc-orthogonality", {"j_max": 3}, 0.0, worst, max(tol, 1e-12)))
+    # Closed-form spot checks.
+    worst = 0.0
+    count = 0
+    for j1 in range(0, 4):
+        for j2 in range(0, 4):
+            j = j1 + j2
+            for lam in range(j + 1):
+                for lam1 in range(j1 + 1):
+                    for lam2 in range(j2 + 1):
+                        if lam1 + lam2 > lam:
+                            continue
+                        val = cgc4_c(j1, lam1, lam1, j2, lam2, lam2,
+                                     j, lam, lam1 + lam2)
+                        ref = cgc4_c_closed("stretched", j1, lam1, lam1,
+                                            j2, lam2, lam2, j, lam,
+                                            lam1 + lam2)
+                        worst = max(worst, abs(val - ref))
+                        count += 1
+    checks.append(check_entry(
+        "cgc-closed-form-stretched", {"queries": count}, 0.0, worst,
+        max(tol, 1e-12)))
+    return checks

@@ -2,6 +2,8 @@
 
 import json
 import math
+import pathlib
+import shlex
 
 import numpy as np
 import pytest
@@ -131,6 +133,33 @@ def test_bad_flags_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--family", "q", "--j", "1", "--point", "0,0,0,1"])
     assert exc.value.code == 2
+
+
+def test_eval_c_without_labels_exit_two(capsys):
+    code, _, err = _run(capsys, "eval", "--family", "c", "--j", "2",
+                        "--point", "0,0,0,1")
+    assert code == 2
+    assert "--lambda" in err and "Traceback" not in err
+
+
+def test_nonconvergent_series_exit_two(capsys):
+    code, _, err = _run(capsys, "expand", "--n", "-6", "--j", "0",
+                        "--r1", "0.9999", "--r2", "1", "--lmax", "0")
+    assert code == 2
+    assert "converge" in err
+
+
+def _readme_cli_lines():
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0] for line in block.splitlines()
+            if line.startswith("hsh4 ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_examples_run(capsys, line):
+    code, _, err = _run(capsys, *shlex.split(line)[1:])
+    assert code == 0, err
 
 
 def test_bad_point_exit_two(capsys):

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from hsh4.harmonics import c_components, cos4
+from hsh4 import verify
+from hsh4.harmonics import c_components, cos4, h_to_c_matrix
 from hsh4.multipole import ExpansionSpec, b_coeff
 from hsh4.verify import (build_grid, c_harmonics_at_vectors, gram_matrix,
                          orthogonality_report, project_multipole)
@@ -65,6 +66,23 @@ def test_orthogonality_report_passes():
     # families share diagonal values
     np.testing.assert_allclose(np.diag(grams["c"]), np.diag(grams["h"]),
                                atol=1e-10)
+
+
+def test_orthogonality_report_derives_h_from_one_c_gram(monkeypatch):
+    g = build_grid(12, 12, 25)
+    calls = []
+    real = verify.gram_matrix
+
+    def counting(family, *rest):
+        calls.append(family)
+        return real(family, *rest)
+
+    monkeypatch.setattr(verify, "gram_matrix", counting)
+    grams = orthogonality_report(3, g)[1]
+    assert calls == ["c"]
+    np.testing.assert_allclose(grams["h"], real("h", 3, g), rtol=0,
+                               atol=1e-13)
+    assert h_to_c_matrix.cache_info().currsize >= 4
 
 
 def test_gram_needs_valid_family():
