@@ -1,8 +1,9 @@
 """Three-dimensional angular-momentum kernel.
 
 Clebsch-Gordan coefficients, 6j and 9j symbols in Racah log-factorial
-arithmetic, axis-angle rotation matrix elements, generalised characters of
-the rotation group and modified spherical harmonics.
+arithmetic (scalar, and in array form for whole bipolar plans), axis-angle
+rotation matrix elements, generalised characters of the rotation group and
+modified spherical harmonics.
 
 All angular momenta and projections are passed as doubled integers (2j,
 2m), so half-integer values stay exact.  Phases follow Condon-Shortley.
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-from .special import double_factorial, gegenbauer, log_factorial
+from .special import _LOGFAC, double_factorial, gegenbauer, log_factorial
 
 __all__ = [
     "validate_jm",
@@ -125,6 +126,148 @@ def wigner9j(ta, tb, tc, td, te, tf, tg, th, tk):
     return total
 
 
+# Array forms of the three Racah sums.  They take broadcastable numpy
+# arrays of doubled arguments and give 0 wherever a selection rule fails.
+# The summation axis (k, t or x) is padded to its longest range, and the
+# slots past an element's own range are masked.  Terms are added in
+# ascending order, as in the scalar loops above; those stay as the
+# single-coefficient route and as the reference the array forms are tested
+# against.
+
+_LOGFAC_ARRAY = np.array(_LOGFAC)
+
+
+def _logfac_at(n, mask):
+    """ln(n!) where mask holds (broadcast against n), 0 elsewhere.
+
+    A masked slot is read at n = 0, so a negative argument never reaches
+    the table as a wrapped index.  Past special's table the values come
+    from log_factorial itself.
+    """
+    n = np.where(mask, n, 0)
+    table = _LOGFAC_ARRAY
+    top = int(n.max(initial=0))
+    if top >= len(table):
+        table = np.concatenate(
+            (table, [log_factorial(k) for k in range(len(table), top + 1)]))
+    return table[n]
+
+
+def _int_arrays(*args):
+    return np.broadcast_arrays(*(np.asarray(x, dtype=np.intp) for x in args))
+
+
+def _triangle_mask(ta, tb, tc):
+    return ((np.abs(ta - tb) <= tc) & (tc <= ta + tb)
+            & ((ta + tb + tc) % 2 == 0))
+
+
+def _triangle_args(ta, tb, tc):
+    """Factorial arguments of Delta(a b c); the last one is a denominator."""
+    return [(ta + tb - tc) // 2, (ta - tb + tc) // 2, (-ta + tb + tc) // 2,
+            (ta + tb + tc) // 2 + 1]
+
+
+def _log_triangle_rows(lf):
+    """ln Delta from the four rows _triangle_args gave to _logfac_at."""
+    return 0.5 * (lf[0] + lf[1] + lf[2] - lf[3])
+
+
+def _jm_mask(tj, tm):
+    return (np.abs(tm) <= tj) & ((tj - tm) % 2 == 0)
+
+
+def _span(low, high, mask):
+    """Length of the padded summation axis: the longest range low..high."""
+    return int(np.max(np.where(mask, high - low + 1, 0), initial=0))
+
+
+def _sign(n):
+    return np.where(n % 2, -1.0, 1.0)
+
+
+def _cgc3_array(tj1, tm1, tj2, tm2, tj, tm):
+    """cgc3 over broadcast arrays of doubled arguments."""
+    tj1, tm1, tj2, tm2, tj, tm = _int_arrays(tj1, tm1, tj2, tm2, tj, tm)
+    ok = (_triangle_mask(tj1, tj2, tj) & (tm1 + tm2 == tm)
+          & _jm_mask(tj1, tm1) & _jm_mask(tj2, tm2) & _jm_mask(tj, tm))
+    lf = _logfac_at(np.stack(_triangle_args(tj1, tj2, tj)
+                             + [(tj1 + tm1) // 2, (tj1 - tm1) // 2,
+                                (tj2 + tm2) // 2, (tj2 - tm2) // 2,
+                                (tj + tm) // 2, (tj - tm) // 2]), ok)
+    # A sum over axis 0 of a C-ordered stack adds its rows in order (numpy
+    # sums pairwise only along the fast axis), so every log sum below is
+    # added in the scalar functions' order.
+    log_pre = (_log_triangle_rows(lf)
+               + 0.5 * np.concatenate([np.log(tj + 1.0)[None], lf[4:]])
+               .sum(axis=0))
+    # Row r of the k-th term's denominator is lf(base[r] + step[r] k).
+    base = np.stack([np.zeros_like(tj), (tj1 + tj2 - tj) // 2,
+                     (tj1 - tm1) // 2, (tj2 + tm2) // 2,
+                     (tj - tj2 + tm1) // 2, (tj - tj1 - tm2) // 2])
+    step = np.array([1, -1, -1, -1, 1, 1]).reshape((-1,) + (1,) * ok.ndim)
+    k_min = np.maximum.reduce([base[0], -base[4], -base[5]])
+    k_max = np.minimum.reduce([base[1], base[2], base[3]])
+    total = np.zeros(ok.shape)
+    for i in range(_span(k_min, k_max, ok)):
+        k = k_min + i
+        live = ok & (k <= k_max)
+        log_den = _logfac_at(base + step * k, live).sum(axis=0)
+        total += np.where(live, _sign(k) * np.exp(log_pre - log_den), 0.0)
+    return total
+
+
+def _wigner6j_array(ta, tb, tc, td, te, tf):
+    """wigner6j over broadcast arrays of doubled arguments."""
+    ta, tb, tc, td, te, tf = _int_arrays(ta, tb, tc, td, te, tf)
+    triads = ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc))
+    ok = np.logical_and.reduce([_triangle_mask(*t) for t in triads])
+    lf = _logfac_at(np.stack([n for t in triads for n in _triangle_args(*t)]),
+                    ok)
+    log_delta = sum(_log_triangle_rows(lf[i:i + 4]) for i in range(0, 16, 4))
+    lows = np.stack([(x + y + z) // 2 for x, y, z in triads])
+    highs = np.stack([(ta + tb + td + te) // 2, (ta + tc + td + tf) // 2,
+                      (tb + tc + te + tf) // 2])
+    t_min, t_max = lows.max(axis=0), highs.min(axis=0)
+    signs = np.array([1.0] + [-1.0] * 7).reshape((-1,) + (1,) * ok.ndim)
+    total = np.zeros(ok.shape)
+    for i in range(_span(t_min, t_max, ok)):
+        t = t_min + i
+        live = ok & (t <= t_max)
+        lf = _logfac_at(np.concatenate([(t + 1)[None], t - lows, highs - t]),
+                        live)
+        log_term = (lf * signs).sum(axis=0)
+        total += np.where(live, _sign(t) * np.exp(log_delta + log_term), 0.0)
+    return total
+
+
+def _wigner9j_array(ta, tb, tc, td, te, tf, tg, th, tk):
+    """wigner9j over broadcast arrays of doubled arguments."""
+    ta, tb, tc, td, te, tf, tg, th, tk = _int_arrays(ta, tb, tc, td, te, tf,
+                                                     tg, th, tk)
+    rows = ((ta, tb, tc), (td, te, tf), (tg, th, tk))
+    cols = ((ta, td, tg), (tb, te, th), (tc, tf, tk))
+    ok = np.logical_and.reduce([_triangle_mask(*t) for t in rows + cols])
+    tx_min = np.maximum.reduce([np.abs(ta - tk), np.abs(tb - tf),
+                                np.abs(td - th)])
+    tx_max = np.minimum.reduce([ta + tk, tb + tf, td + th])
+    n_x = _span(tx_min // 2, tx_max // 2, ok)
+    # Slot i holds 2x = tx_min + 2i.  A slot past tx_max breaks a triad of
+    # a 6j factor, which then vanishes.
+    tx = tx_min + 2 * np.arange(n_x).reshape((-1,) + (1,) * ok.ndim)
+    # The three 6j factors of every slot, stacked on a leading axis of
+    # length 3, in one call.
+    w1, w2, w3 = _wigner6j_array(*(
+        np.stack([np.broadcast_to(f, tx.shape) for f in factors])
+        for factors in zip((ta, td, tg, th, tk, tx), (tb, te, th, td, tx, tf),
+                           (tc, tf, tk, tx, ta, tb))))
+    total = np.zeros(ok.shape)
+    for i in range(n_x):
+        total += np.where(ok, _sign(tx[i]) * (tx[i] + 1)
+                          * w1[i] * w2[i] * w3[i], 0.0)
+    return total
+
+
 def gen_character(tl, lam, omega):
     """Generalised character chi^l_lambda(omega) of the rotation group.
 
@@ -136,9 +279,12 @@ def gen_character(tl, lam, omega):
         raise ValueError(f"gen_character: need 0 <= lambda <= 2l, got "
                          f"lambda = {lam}, 2l = {tl}")
     half = 0.5 * np.asarray(omega, dtype=float)
-    pre = math.exp(0.5 * (log_factorial(tl - lam)
-                          - log_factorial(tl + lam + 1)))
-    value = (double_factorial(2 * lam) * math.sqrt(tl + 1.0) * pre
+    # ln (2 lam)!! = lam ln 2 + ln lam! rides in the exponent with the
+    # factorial ratio; the double factorial alone overflows from lam ~ 151.
+    pre = math.exp(lam * math.log(2.0) + log_factorial(lam)
+                   + 0.5 * (log_factorial(tl - lam)
+                            - log_factorial(tl + lam + 1)))
+    value = (math.sqrt(tl + 1.0) * pre
              * np.sin(half) ** lam * gegenbauer(lam + 1, tl - lam, np.cos(half)))
     if np.isscalar(omega) or np.asarray(omega).ndim == 0:
         return float(value)

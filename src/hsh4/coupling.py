@@ -14,7 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import cgc3, wigner6j, wigner9j
+from .angular import (_cgc3_array, _wigner9j_array, cgc3, wigner6j,
+                      wigner9j)
 from .harmonics import (c_components, c_flat_index, h_components,
                         h_flat_index, hsh_c, hsh_h)
 from .special import log_factorial
@@ -193,46 +194,69 @@ def bipolar_plan(family, j1, j2, j):
 
     Returns (i1, i2, iout, coeff) integer/float arrays over all nonzero
     CGC, with i1, i2, iout flat component indices of the two inner and the
-    outer harmonic arrays.
+    outer harmonic arrays.  The coefficients come from the array forms of
+    the Racah sums, so they equal cgc4_h / cgc4_c up to rounding.
     """
-    i1s, i2s, iouts, coeffs = [], [], [], []
-    if family == "h":
-        for tmu1 in range(-j1, j1 + 1, 2):
-            for tnu1 in range(-j1, j1 + 1, 2):
-                for tmu2 in range(-j2, j2 + 1, 2):
-                    for tnu2 in range(-j2, j2 + 1, 2):
-                        tmu, tnu = tmu1 + tmu2, tnu1 + tnu2
-                        if abs(tmu) > j or abs(tnu) > j:
-                            continue
-                        c = cgc4_h(j1, tmu1, tnu1, j2, tmu2, tnu2,
-                                   j, tmu, tnu)
-                        if c == 0.0:
-                            continue
-                        i1s.append(h_flat_index(j1, tmu1, tnu1))
-                        i2s.append(h_flat_index(j2, tmu2, tnu2))
-                        iouts.append(h_flat_index(j, tmu, tnu))
-                        coeffs.append(c)
-    elif family == "c":
-        for lam1 in range(j1 + 1):
-            for lam2 in range(j2 + 1):
-                for lam in range(abs(lam1 - lam2),
-                                 min(lam1 + lam2, j) + 1, 2):
-                    for alf in range(-lam, lam + 1):
-                        for alf1 in range(max(-lam1, alf - lam2),
-                                          min(lam1, alf + lam2) + 1):
-                            alf2 = alf - alf1
-                            c = cgc4_c(j1, lam1, alf1, j2, lam2, alf2,
-                                       j, lam, alf)
-                            if c == 0.0:
-                                continue
-                            i1s.append(c_flat_index(lam1, alf1))
-                            i2s.append(c_flat_index(lam2, alf2))
-                            iouts.append(c_flat_index(lam, alf))
-                            coeffs.append(c)
-    else:
+    if family not in ("h", "c"):
         raise ValueError(f"family must be 'h' or 'c', got {family!r}")
-    return (np.array(i1s, dtype=np.intp), np.array(i2s, dtype=np.intp),
-            np.array(iouts, dtype=np.intp), np.array(coeffs))
+    if not rank_triangle_ok(j1, j2, j):
+        return (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp),
+                np.zeros(0, dtype=np.intp), np.zeros(0))
+    if family == "h":
+        i1, i2, iout, coeff = _h_plan(j1, j2, j)
+    else:
+        i1, i2, iout, coeff = _c_plan(j1, j2, j)
+    keep = coeff != 0.0
+    return (np.asarray(i1[keep], dtype=np.intp),
+            np.asarray(i2[keep], dtype=np.intp),
+            np.asarray(iout[keep], dtype=np.intp), coeff[keep])
+
+
+def _h_plan(j1, j2, j):
+    """cgc4_h = CG_mu CG_nu, so the plan is the CG column's outer product."""
+    tmu1, tmu2 = np.meshgrid(np.arange(-j1, j1 + 1, 2),
+                             np.arange(-j2, j2 + 1, 2), indexing="ij")
+    tmu1, tmu2 = tmu1.ravel(), tmu2.ravel()
+    col = _cgc3_array(j1, tmu1, j2, tmu2, j, tmu1 + tmu2)
+    nz = col != 0.0
+    tmu1, tmu2, col = tmu1[nz], tmu2[nz], col[nz]
+    # Row p of the outer product couples mu; column q couples nu.
+    p = np.repeat(np.arange(len(col)), len(col))
+    q = np.tile(np.arange(len(col)), len(col))
+    return (h_flat_index(j1, tmu1[p], tmu1[q]),
+            h_flat_index(j2, tmu2[p], tmu2[q]),
+            h_flat_index(j, tmu1[p] + tmu2[p], tmu1[q] + tmu2[q]),
+            col[p] * col[q])
+
+
+def _c_plan(j1, j2, j):
+    """Every (lam1, lam2, lam) block's reduced factor in one 9j call, then
+    the 3D CGC of all (lam1, alf1; lam2, alf2 | lam, alf) one lam at a time."""
+    lam1, lam2, lam = np.meshgrid(np.arange(j1 + 1), np.arange(j2 + 1),
+                                  np.arange(j + 1), indexing="ij")
+    block = (np.abs(lam1 - lam2) <= lam) & (lam <= lam1 + lam2) \
+        & ((lam1 + lam2 + lam) % 2 == 0)
+    lam1, lam2, lam = lam1[block], lam2[block], lam[block]
+    reduced = ((j + 1.0) * np.sqrt((2.0 * lam1 + 1.0) * (2.0 * lam2 + 1.0))
+               * _wigner9j_array(j1, j2, j, j1, j2, j,
+                                 2 * lam1, 2 * lam2, 2 * lam))
+    alf1 = np.arange(-j1, j1 + 1)
+    parts = []
+    for lam_out in range(j + 1):
+        b = np.flatnonzero(lam == lam_out)
+        alf = np.arange(-lam_out, lam_out + 1)
+        # Axes (block, alf, alf1); a live slot has |alf1| <= lam1 and
+        # |alf - alf1| <= lam2.
+        live = ((np.abs(alf1) <= lam1[b, None, None])
+                & (np.abs(alf[:, None] - alf1) <= lam2[b, None, None]))
+        bi, ai, a1i = np.nonzero(live)
+        blk, a, a1 = b[bi], alf[ai], alf1[a1i]
+        l1, l2 = lam1[blk], lam2[blk]
+        cg = _cgc3_array(2 * l1, 2 * a1, 2 * l2, 2 * (a - a1),
+                         2 * lam_out, 2 * a)
+        parts.append((c_flat_index(l1, a1), c_flat_index(l2, a - a1),
+                      c_flat_index(lam_out, a), reduced[blk] * cg))
+    return tuple(np.concatenate(x) for x in zip(*parts))
 
 
 def bipolar_values(family, j1, j2, j, comps1, comps2):

@@ -123,8 +123,16 @@ def b_coeff(spec, l, lp):
         return 0.0
     ka = (j + l - lp) // 2
     kb = (l + lp - j) // 2
-    poch = pochhammer((-2.0 - j - n) / 2.0, ka) * pochhammer((j - n) / 2.0, kb)
-    if poch == 0.0:
+    # (a0)_ka (b0)_kb / l! with l = ka + kb, as one running product of
+    # ratios: the Pochhammer symbols and l! overflow apart from l ~ 158.
+    # A Pochhammer factor that crosses zero keeps the product exactly 0.
+    a0, b0 = (-2.0 - j - n) / 2.0, (j - n) / 2.0
+    ratio = 1.0
+    for i in range(ka):
+        ratio *= (a0 + i) / (i + 1)
+    for i in range(kb):
+        ratio *= (b0 + i) / (ka + i + 1)
+    if ratio == 0.0:
         return 0.0
     a = (-2.0 + l - lp - n) / 2.0
     b = (l + lp - n) / 2.0
@@ -134,7 +142,7 @@ def b_coeff(spec, l, lp):
         lead = spec.r2 ** n if l == 0 else 0.0
     else:
         lead = spec.r2 ** n * (-spec.r1 / spec.r2) ** l
-    return lead * (lp + 1.0) / (math.factorial(l) * (j + 1.0)) * poch * hyp
+    return lead * (lp + 1.0) / (j + 1.0) * ratio * hyp
 
 
 class CoeffTable:
@@ -240,7 +248,10 @@ def eval_expansion(table, j, r1hat, r2hat):
 
     Returns the complex array over the outer (lam, alpha) components of
     sum_{l lp} B_{l lp} {C_l(r1-hat) x C_{lp}(r2-hat)}_{j, lam, alpha}.
+    A table that records its rank must be evaluated at that rank.
     """
+    if table.j is not None and table.j != j:
+        raise ValueError(f"table holds rank j = {table.j}, not j = {j}")
     out = np.zeros((j + 1) ** 2, dtype=complex)
     cache1, cache2 = {}, {}
     for (l, lp), val in table.entries.items():

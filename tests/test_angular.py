@@ -12,8 +12,10 @@ from sympy import S
 from sympy.physics.quantum.cg import CG
 from sympy.physics.wigner import wigner_6j, wigner_9j
 
-from hsh4.angular import (cgc3, gen_character, mod_sph_harm, rotation_u,
+from hsh4.angular import (_cgc3_array, _wigner6j_array, _wigner9j_array,
+                          cgc3, gen_character, mod_sph_harm, rotation_u,
                           wigner6j, wigner9j)
+from hsh4.harmonics import hsh_c
 
 
 def _rng():
@@ -111,6 +113,90 @@ def test_gen_character_rank_zero_is_character():
     for tj in range(5):
         ref = np.sin((tj / 2 + 0.5) * w) / np.sin(0.5 * w)
         np.testing.assert_allclose(gen_character(tj, 0, w), ref, atol=1e-12)
+
+
+def _chi_mp(tl, lam, w):
+    """Generalised character from its defining formula in 40-digit mpmath."""
+    import mpmath
+    with mpmath.workdps(40):
+        w = mpmath.mpf(w)
+        return (mpmath.fac2(2 * lam) * mpmath.sqrt(tl + 1)
+                * mpmath.sqrt(mpmath.factorial(tl - lam)
+                              / mpmath.factorial(tl + lam + 1))
+                * mpmath.sin(w / 2) ** lam
+                * mpmath.gegenbauer(tl - lam, lam + 1, mpmath.cos(w / 2)))
+
+
+@pytest.mark.parametrize("tl, lam", [(160, 150), (200, 150), (300, 299)])
+def test_gen_character_high_rank_vs_mpmath(tl, lam):
+    # (2 lam)!! alone overflows a float from lam ~ 151
+    for w in (0.7, 2.0, 3.0, 5.5):
+        ref = _chi_mp(tl, lam, w)
+        assert abs((gen_character(tl, lam, w) - ref) / ref) <= 1e-11
+
+
+def test_hsh_c_high_rank_is_finite():
+    val = hsh_c(160, 150, 0, (0.3, -0.4, 0.5, 0.7))
+    assert np.isfinite(val) and val != 0.0
+
+
+def _valid_cg_args(rng, top, count):
+    args = []
+    while len(args) < count:
+        tj1, tj2 = (int(x) for x in rng.integers(0, top + 1, size=2))
+        tj = int(rng.integers(abs(tj1 - tj2), min(tj1 + tj2, top) + 1))
+        if (tj1 + tj2 + tj) % 2:
+            continue
+        tm1 = int(rng.integers(0, tj1 + 1)) * 2 - tj1
+        tm2 = int(rng.integers(0, tj2 + 1)) * 2 - tj2
+        if abs(tm1 + tm2) <= tj:
+            args.append((tj1, tm1, tj2, tm2, tj, tm1 + tm2))
+    return args
+
+
+def _nonzero_args(rng, scalar, top, size, count):
+    args = []
+    while len(args) < count:
+        x = [int(v) for v in rng.integers(0, top + 1, size=size)]
+        if scalar(*x) != 0.0:
+            args.append(x)
+    return args
+
+
+# The array forms add the same log factorials in the same order as the
+# scalar loops; only numpy's exp and log may differ from libm's by an ulp,
+# which the cancelling sums at 2j <= 48 amplify to ~1e-14.
+RACAH_TOL = 1e-13
+
+
+def test_array_racah_sums_match_scalar():
+    rng = np.random.default_rng(48)
+    for kernel, scalar, args in (
+            (_cgc3_array, cgc3, _valid_cg_args(rng, 48, 400)),
+            (_wigner6j_array, wigner6j,
+             _nonzero_args(rng, wigner6j, 48, 6, 300)),
+            (_wigner9j_array, wigner9j,
+             _nonzero_args(rng, wigner9j, 48, 9, 60))):
+        got = kernel(*np.array(args).T)
+        ref = np.array([scalar(*a) for a in args])
+        np.testing.assert_allclose(got, ref, rtol=0, atol=RACAH_TOL)
+
+
+def test_array_racah_sums_selection_rules_and_shapes():
+    # m1 + m2 != m, a broken triangle, and invalid triads give exact zeros
+    assert _cgc3_array(2, 2, 2, 0, 2, 0) == 0.0
+    assert _cgc3_array(2, 0, 2, 0, 6, 0) == 0.0
+    assert _wigner6j_array(2, 2, 8, 2, 2, 2) == 0.0
+    assert _wigner9j_array(2, 2, 8, 2, 2, 2, 2, 2, 2) == 0.0
+    # broadcasting: a column over 2m1 at fixed (j1, j2, j, m)
+    tm1 = np.arange(-4, 5, 2)
+    col = _cgc3_array(4, tm1, 4, -tm1, 4, 0)
+    assert col.shape == (5,)
+    assert col == pytest.approx([cgc3(4, m, 4, -m, 4, 0) for m in tm1],
+                                abs=1e-15)
+    # a stretched coupling reads log factorials past special's table
+    assert _cgc3_array(300, 300, 2, 0, 302, 300) == pytest.approx(
+        cgc3(300, 300, 2, 0, 302, 300), rel=1e-13)
 
 
 def test_rotation_u_identity_and_unitarity():

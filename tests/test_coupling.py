@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from hsh4.angular import wigner9j
-from hsh4.coupling import (bipolar, bipolar_values, cgc4_c, cgc4_c_closed,
-                           cgc4_h, linearize_product, ninej4, ninej4_closed,
-                           rank_triangle_ok)
-from hsh4.harmonics import (c_components, c_flat_index, h_components, hsh_c,
-                            hsh_h, scalar_product_c)
+from hsh4.coupling import (bipolar, bipolar_plan, bipolar_values, cgc4_c,
+                           cgc4_c_closed, cgc4_h, linearize_product, ninej4,
+                           ninej4_closed, rank_triangle_ok)
+from hsh4.harmonics import (c_components, c_flat_index, h_components,
+                            h_flat_index, hsh_c, hsh_h, scalar_product_c)
 
 
 def _unit(rng):
@@ -235,3 +235,74 @@ def test_recoupling_fails_for_generic_vectors():
                                  bipolar_values("c", 1, 1, g, P, R),
                                  bipolar_values("c", 1, 1, g, Q, S)))
     assert abs(lhs[0] - rhs[0]) > 1e-3
+
+
+def _loop_plan(family, j1, j2, j):
+    """{(i1, i2, iout): coeff} from one scalar cgc4_h / cgc4_c per term."""
+    terms = {}
+    if family == "h":
+        for tmu1 in range(-j1, j1 + 1, 2):
+            for tnu1 in range(-j1, j1 + 1, 2):
+                for tmu2 in range(-j2, j2 + 1, 2):
+                    for tnu2 in range(-j2, j2 + 1, 2):
+                        tmu, tnu = tmu1 + tmu2, tnu1 + tnu2
+                        if abs(tmu) > j or abs(tnu) > j:
+                            continue
+                        c = cgc4_h(j1, tmu1, tnu1, j2, tmu2, tnu2, j, tmu, tnu)
+                        if c != 0.0:
+                            terms[(h_flat_index(j1, tmu1, tnu1),
+                                   h_flat_index(j2, tmu2, tnu2),
+                                   h_flat_index(j, tmu, tnu))] = c
+        return terms
+    for lam1 in range(j1 + 1):
+        for lam2 in range(j2 + 1):
+            for lam in range(abs(lam1 - lam2), min(lam1 + lam2, j) + 1, 2):
+                for alf in range(-lam, lam + 1):
+                    for alf1 in range(max(-lam1, alf - lam2),
+                                      min(lam1, alf + lam2) + 1):
+                        alf2 = alf - alf1
+                        c = cgc4_c(j1, lam1, alf1, j2, lam2, alf2, j, lam, alf)
+                        if c != 0.0:
+                            terms[(c_flat_index(lam1, alf1),
+                                   c_flat_index(lam2, alf2),
+                                   c_flat_index(lam, alf))] = c
+    return terms
+
+
+PLAN_CASES = [(l, lp, j) for l in range(11) for lp in range(11)
+              for j in range(5)] + [(24, 24, 4)]
+
+
+@pytest.mark.parametrize("family", ["h", "c"])
+def test_bipolar_plan_matches_scalar_loop(family):
+    worst = 0.0
+    for j1, j2, j in PLAN_CASES:
+        i1, i2, iout, coeff = bipolar_plan(family, j1, j2, j)
+        assert i1.dtype == i2.dtype == iout.dtype == np.intp
+        assert coeff.dtype == np.float64
+        plan = dict(zip(zip(i1.tolist(), i2.tolist(), iout.tolist()),
+                        coeff.tolist()))
+        assert len(plan) == len(coeff)  # no term twice
+        ref = _loop_plan(family, j1, j2, j)
+        # the term sets differ at most by rounding-level reference entries
+        assert all(abs(ref[k]) <= 1e-14 for k in set(ref) - set(plan))
+        assert not set(plan) - set(ref)
+        for key, c in plan.items():
+            worst = max(worst, abs(c - ref.get(key, 0.0)))
+    assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("family", ["h", "c"])
+def test_bipolar_plan_unitary_at_rank_24(family):
+    _, _, iout, coeff = bipolar_plan(family, 24, 24, 4)
+    norms = np.bincount(iout, weights=coeff * coeff, minlength=25)
+    np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-12)
+
+
+def test_bipolar_plan_empty_and_unknown_family():
+    for family in ("h", "c"):
+        plan = bipolar_plan(family, 2, 3, 2)  # j1 + j2 + j odd
+        assert [len(x) for x in plan] == [0, 0, 0, 0]
+        assert [x.dtype for x in plan] == [np.intp] * 3 + [np.float64]
+    with pytest.raises(ValueError):
+        bipolar_plan("x", 1, 1, 0)

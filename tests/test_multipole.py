@@ -221,3 +221,48 @@ def test_json_roundtrip():
 def test_empty_table_evaluates_to_zero():
     table = CoeffTable({}, True, j=0)
     assert np.all(eval_expansion(table, 0, [1, 0, 0, 0], [0, 0, 0, 1]) == 0)
+
+
+def _b_coeff_mp(n, j, r1, r2, l, lp):
+    """B^{(n j)}_{l lp} from the hypergeometric formula in 40-digit mpmath."""
+    import mpmath
+    with mpmath.workdps(40):
+        n = mpmath.mpf(n)
+        ka, kb = (j + l - lp) // 2, (l + lp - j) // 2
+        poch = mpmath.rf((-2 - j - n) / 2, ka) * mpmath.rf((j - n) / 2, kb)
+        hyp = mpmath.hyp2f1((-2 + l - lp - n) / 2, (l + lp - n) / 2, l + 2,
+                            (mpmath.mpf(r1) / r2) ** 2)
+        return (mpmath.power(r2, n) * (-mpmath.mpf(r1) / r2) ** l * (lp + 1)
+                / (mpmath.factorial(l) * (j + 1)) * poch * hyp)
+
+
+@pytest.mark.parametrize("n", [-2.0, -3.0, -2.5, 3.0, -0.5])
+def test_b_coeff_high_rank_vs_mpmath(n):
+    # the Pochhammer factors and l! overflow apart from l ~ 158
+    for j in (0, 2):
+        for l in (150, 180, 200):
+            for ratio in (0.5, 0.9):
+                spec = ExpansionSpec(n, j, ratio, 1.0, l_max=l)
+                ref = _b_coeff_mp(n, j, ratio, 1.0, l, l + j)
+                got = b_coeff(spec, l, l + j)
+                assert abs((got - ref) / ref) <= 1e-9
+
+
+def test_expand_translated_at_l_max_200():
+    table = expand_translated(ExpansionSpec(-2.0, 0, 0.5, 1.0, l_max=200))
+    # |r1 + r2|^-2 at j = 0: B_{ll} = (l + 1) (-r1/r2)^l
+    assert set(table.entries) == {(l, l) for l in range(201)}
+    for l in (0, 157, 158, 200):
+        assert table[(l, l)] == pytest.approx((l + 1) * (-0.5) ** l,
+                                              rel=1e-12)
+
+
+def test_eval_expansion_rejects_other_rank():
+    table = expand_translated(ExpansionSpec(-3.0, 1, 0.5, 1.0, l_max=4))
+    with pytest.raises(ValueError):
+        eval_expansion(table, 0, [1, 0, 0, 0], [0, 0, 0, 1])
+    untagged = CoeffTable(table.entries, False)
+    assert untagged.j is None
+    np.testing.assert_array_equal(
+        eval_expansion(untagged, 1, [1, 0, 0, 0], [0, 0, 0, 1]),
+        eval_expansion(table, 1, [1, 0, 0, 0], [0, 0, 0, 1]))
