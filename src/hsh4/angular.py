@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .special import _LOGFAC, double_factorial, gegenbauer, log_factorial
+from .special import _LOGFAC, gegenbauer, log_factorial
 
 __all__ = [
     "validate_jm",
@@ -291,13 +291,18 @@ def gen_character(tl, lam, omega):
     return value
 
 
-def _assoc_legendre(lam, alpha, x):
-    """P_lambda^alpha(x) with Condon-Shortley phase, alpha >= 0, vectorised."""
-    # P_a^a = (-1)^a (2a-1)!! (1 - x^2)^(a/2), then upward recurrence in degree.
-    paa = (-1.0) ** alpha * np.ones_like(x)
-    if alpha > 0:
-        paa = ((-1.0) ** alpha * double_factorial(2 * alpha - 1)
-               * (1.0 - x * x) ** (alpha / 2.0))
+def _normed_assoc_legendre(lam, alpha, x):
+    """sqrt((lam-alpha)!/(lam+alpha)!) P_lam^alpha(x), Condon-Shortley, alpha >= 0.
+
+    The seed sqrt((2a)!)^-1 (-1)^a (2a-1)!! (1 - x^2)^(a/2) carries
+    ln (2a-1)!! = ln (2a)! - a ln 2 - ln a! in one exponent with the norm
+    (the double factorial alone overflows from a ~ 151); the upward
+    recurrence in degree is linear, so the normalised seeds start it.
+    """
+    seed = (-1.0) ** alpha * math.exp(
+        log_factorial(2 * alpha) - alpha * math.log(2.0) - log_factorial(alpha)
+        + 0.5 * (log_factorial(lam - alpha) - log_factorial(lam + alpha)))
+    paa = seed * (1.0 - x * x) ** (alpha / 2.0)
     if lam == alpha:
         return paa
     prev = paa
@@ -320,8 +325,8 @@ def mod_sph_harm(lam, alpha, theta, phi):
     a = abs(alpha)
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    norm = math.exp(0.5 * (log_factorial(lam - a) - log_factorial(lam + a)))
-    value = norm * _assoc_legendre(lam, a, np.cos(theta)) * np.exp(1j * a * phi)
+    value = (_normed_assoc_legendre(lam, a, np.cos(theta))
+             * np.exp(1j * a * phi))
     if alpha < 0:
         value = (-1.0) ** a * np.conj(value)
     if value.ndim == 0:

@@ -238,8 +238,9 @@ def _kernel_component(n, j, r2sq, z0):
     """r^n C_{j,0,0}(r-hat) from squared lengths and fourth components.
 
     For lam = 0 the harmonic is the Chebyshev polynomial of the second
-    kind: C_{j,0,0} = U_j(cos theta0)/(j+1)^(1/2), evaluated by recurrence
-    to keep the inner double-quadrature loop free of transcendentals.
+    kind: C_{j,0,0} = U_j(cos theta0)/(j+1)^(1/2), evaluated by recurrence,
+    so a whole (meridian node, grid node) array of kernel values takes no
+    transcendental beyond one square root and one power.
     """
     r = np.sqrt(r2sq)
     c = z0 / r
@@ -253,78 +254,64 @@ def _kernel_component(n, j, r2sq, z0):
     return r2sq ** (0.5 * n) * char / math.sqrt(j + 1.0)
 
 
+# Kernel-independent arrays on the seed-rotated grids, keyed by
+# (grid.shape, seed, lp); no radii, so every kernel shares them.
 _PROJ_CACHE = {}
 
 
-def _projection_moments(n, j, r1, r2, grid, l_cap, seed, chunk=256):
-    """Moment matrix M[(l,lam1,a1),(lp,lam2,a2)] of the kernel r^n C_{j,0,0}.
-
-    M holds double-sphere integrals of conj(C C) against the kernel at
-    r = r1 x1 + r2 x2, with the second grid randomly rotated (seeded), plus
-    the two single-sphere Gram matrices used for normalization.
-    """
-    key = (n, j, r1, r2, grid.shape, l_cap, seed)
-    if key in _PROJ_CACHE:
-        return _PROJ_CACHE[key]
-    x1 = grid.vectors()
-    x2 = grid.vectors() @ _random_so4(seed).T
-    w = grid.weights
-    V1 = np.vstack([c_harmonics_at_vectors(l, x1) for l in range(l_cap + 1)])
-    V2 = np.vstack([c_harmonics_at_vectors(l, x2) for l in range(l_cap + 1)])
-    V1w = V1.conj() * w
-    V2w_re = np.ascontiguousarray(np.real(V2.conj() * w).T)
-    V2w_im = np.ascontiguousarray(np.imag(V2.conj() * w).T)
-    M = np.zeros((V1.shape[0], V2.shape[0]), dtype=complex)
-    # r = r1 x1 + r2 x2; only |r|^2 and the fourth component are needed,
-    # so the pairwise geometry reduces to x1 . x2 dot products.
-    for s in range(0, len(x1), chunk):
-        dots = x1[s:s + chunk] @ x2.T
-        r2sq = r1 * r1 + r2 * r2 + 2.0 * r1 * r2 * dots
-        z0 = r1 * x1[s:s + chunk, 3:4] + r2 * x2[:, 3][None, :]
-        F = _kernel_component(n, j, r2sq, z0)
-        M += V1w[:, s:s + chunk] @ (F @ V2w_re + 1j * (F @ V2w_im))
-    G1 = (V1 * w) @ V1.conj().T
-    G2 = (V2 * w) @ V2.conj().T
-    result = (M, G1, G2)
-    _PROJ_CACHE[key] = result
-    return result
+def _rotated_grid(grid, seed, lp):
+    """(z, z0) rows of the seed-rotated grid and C_{lp,lam,0} on it, lam <= lp."""
+    key = (grid.shape, seed, lp)
+    if key not in _PROJ_CACHE:
+        x2 = grid.vectors() @ _random_so4(seed).T
+        rows = [c_flat_index(lam, 0) for lam in range(lp + 1)]
+        _PROJ_CACHE[key] = (x2[:, 2:].T.copy(),
+                            c_harmonics_at_vectors(lp, x2)[rows])
+    return _PROJ_CACHE[key]
 
 
-def _block(l):
-    return l * (l + 1) * (2 * l + 1) // 6  # sum of (k+1)^2, k < l
-
-
-def _project_one(n, j, r1, r2, l, lp, grid, l_cap, seed):
+def _project_one(n, j, r1, r2, l, lp, grid, seed):
+    # x1 runs over the meridian points p = (0, 0, sin theta0, cos theta0),
+    # the poles of their 2-spheres, where only the alpha = 0 harmonics are
+    # nonzero; with the (0, 0) output, alpha2 = 0 as well.
     i1, i2, iout, coeff = bipolar_plan("c", l, lp, j)
-    sel = iout == c_flat_index(0, 0)
-    i1, i2, coeff = i1[sel], i2[sel], coeff[sel]
-    if len(coeff) == 0:
+    lam1, lam2 = (np.sqrt(i).astype(np.intp) for i in (i1, i2))
+    sel = (iout == c_flat_index(0, 0)) & (i1 == c_flat_index(lam1, 0))
+    if not sel.any():
         return 0.0
-    M, G1, G2 = _projection_moments(n, j, r1, r2, grid, l_cap, seed)
-    o1, o2 = _block(l), _block(lp)
-    num = np.einsum("t,t->", coeff, M[o1 + i1, o2 + i2])
-    den = np.einsum("s,t,st,st->", coeff, coeff,
-                    G1[np.ix_(o1 + i1, o1 + i1)],
-                    G2[np.ix_(o2 + i2, o2 + i2)])
-    return float(np.real(num / den))
+    s0, c0 = np.sin(grid.theta0)[:, None], np.cos(grid.theta0)[:, None]
+    p = np.column_stack([0.0 * s0, 0.0 * s0, s0, c0])
+    (z, z0), c2 = _rotated_grid(grid, seed, lp)
+    # b[i, k]: (0, 0) component of {C_l(p_i) (x) C_lp(x2_k)}_j.
+    b = ((coeff[sel, None] * c_harmonics_at_vectors(l, p)[i1[sel]]).T
+         @ c2[lam2[sel]])
+    f = _kernel_component(n, j, r1 * r1 + r2 * r2 + 2.0 * r1 * r2
+                          * (s0 * z + c0 * z0), r1 * c0 + r2 * z0)
+    # Node i stands for its whole (theta, phi) orbit, weight w0_i sum(w1)
+    # sum(w2); the constant sum(w1) sum(w2) cancels in the ratio.
+    wb = np.outer(grid.w0, grid.weights) * b.conj()
+    return float(np.real(np.sum(wb * f) / np.sum(wb * b)))
 
 
 def project_multipole(n, j, r1, r2, l, lp, grid=None, seeds=(7, 19),
-                      agree_tol=1e-8, l_cap=5):
-    """Recover B^{(n j)}_{l lp} by double quadrature, independent of b_coeff.
+                      agree_tol=1e-8):
+    """Recover B^{(n j)}_{l lp} by quadrature, independent of b_coeff.
 
     The kernel r^n C_j(r-hat), r = r1 x1 + r2 x2, is projected onto the
-    conjugated bipolar harmonic and normalized by the numerically computed
-    bipolar norm.  The second sphere's grid is randomly rotated; the two
-    seeds must agree to agree_tol or a RuntimeError flags the grid as too
-    coarse.
+    conjugated (j, 0, 0) component of the bipolar harmonic
+    {C_l(x1) (x) C_lp(x2)}_j and normalized by that component's numerically
+    integrated squared norm.  Both are invariant under the rotations that
+    fix e4, applied to x1 and x2 at once, so x1 is pinned to one meridian
+    point per theta0 node, weighted by its orbit, and only x2 runs over the
+    whole grid: a call takes seeds x n0 x N kernel values.  The x2 grid is
+    randomly rotated in SO(4); the two seeds must agree to agree_tol or a
+    RuntimeError flags the grid as too coarse.
     """
     if r1 >= r2:
         raise ValueError("projection requires r1 < r2")
     if grid is None:
         grid = build_grid(18, 18, 37)
-    l_cap = max(l, lp, l_cap)
-    vals = [_project_one(n, j, r1, r2, l, lp, grid, l_cap, s) for s in seeds]
+    vals = [_project_one(n, j, r1, r2, l, lp, grid, s) for s in seeds]
     spread = max(vals) - min(vals)
     scale = max(1.0, max(abs(v) for v in vals))
     if spread > agree_tol * scale:

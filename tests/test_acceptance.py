@@ -271,12 +271,35 @@ def test_07_projection_oracle():
         for l in range(5):
             for lp in range(abs(l - j), min(l + j, cap) + 1, 2):
                 ref = b_coeff(spec, l, lp)
-                got = project_multipole(n, j, r1, r2, l, lp,
-                                        grid=grid, l_cap=cap)
+                got = project_multipole(n, j, r1, r2, l, lp, grid=grid)
                 worst = max(worst, abs(got - ref))
                 checked += 1
     ok = worst <= 1e-8
     _report(7, "projection oracle", ok,
+            f"max dev {worst:.2e}, {checked} coefficients")
+
+
+def test_07b_projection_oracle_coverage():
+    """Projection reaches l = 8 at r1/r2 = 0.5 and l = 4 at 0.7, to 1e-8.
+
+    Each grid is the smallest of the (m, m, 2m+1) family from which on the
+    two rotation seeds agree and the bound holds: at 0.5, 18x18x37 fails
+    the seed gate on one coefficient; at 0.7, 26x26x53 passes the gate but
+    misses the bound and 27x27x55 fails the gate.
+    """
+    worst, checked = 0.0, 0
+    for ratio, l_top, m in ((0.5, 8, 19), (0.7, 4, 28)):
+        grid = build_grid(m, m, 2 * m + 1)
+        for (n, j) in ((-2.0, 0), (-3.0, 1)):
+            spec = ExpansionSpec(n, j, ratio, 1.0, l_max=l_top + j)
+            for l in range(l_top + 1):
+                for lp in range(abs(l - j), l + j + 1, 2):
+                    got = project_multipole(n, j, ratio, 1.0, l, lp,
+                                            grid=grid)
+                    worst = max(worst, abs(got - b_coeff(spec, l, lp)))
+                    checked += 1
+    ok = worst <= 1e-8
+    _report(7, "projection oracle coverage", ok,
             f"max dev {worst:.2e}, {checked} coefficients")
 
 

@@ -140,6 +140,32 @@ def test_hsh_c_high_rank_is_finite():
     assert np.isfinite(val) and val != 0.0
 
 
+def _mod_sph_harm_mp(lam, alpha, theta, phi):
+    """sqrt(4 pi/(2 lam+1)) Y_{lam alpha} in 40-digit mpmath."""
+    import mpmath
+    with mpmath.workdps(40):
+        return complex(mpmath.sqrt(4 * mpmath.pi / (2 * lam + 1))
+                       * mpmath.spherharm(lam, alpha, mpmath.mpf(theta),
+                                          mpmath.mpf(phi)))
+
+
+@pytest.mark.parametrize("lam, alpha",
+                         [(151, 151), (160, 160), (200, 150), (300, 10)])
+def test_mod_sph_harm_high_rank_vs_mpmath(lam, alpha):
+    # (2 alpha - 1)!! alone overflows a float from alpha ~ 151
+    for theta in (0.3, 1.0, 2.0, 2.9):
+        ref = _mod_sph_harm_mp(lam, alpha, theta, 0.5)
+        got = mod_sph_harm(lam, alpha, theta, 0.5)
+        assert np.isfinite(got)
+        if abs(ref) > 1e-290:
+            assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def test_hsh_c_stretched_high_rank_is_finite():
+    val = hsh_c(320, 160, 160, (0.3, -0.4, 0.5, 0.7))
+    assert np.isfinite(val) and val != 0.0
+
+
 def _valid_cg_args(rng, top, count):
     args = []
     while len(args) < count:

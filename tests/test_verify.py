@@ -132,24 +132,24 @@ def test_projection_requires_ordered_radii():
 
 def test_projection_inadmissible_pair_is_zero():
     g = build_grid(10, 10, 21)
-    assert project_multipole(1, 1, 0.5, 1.0, 2, 0, grid=g, l_cap=2,
+    assert project_multipole(1, 1, 0.5, 1.0, 2, 0, grid=g,
                              agree_tol=1e-6) == 0.0
 
 
 def test_projection_recovers_known_coefficients():
     g = build_grid(14, 14, 29)
     spec = ExpansionSpec(1.0, 1, 0.5, 1.0)
-    got = project_multipole(1, 1, 0.5, 1.0, 0, 1, grid=g, l_cap=2)
+    got = project_multipole(1, 1, 0.5, 1.0, 0, 1, grid=g)
     assert got == pytest.approx(1.0, abs=1e-9)  # r2
-    got = project_multipole(1, 1, 0.5, 1.0, 1, 0, grid=g, l_cap=2)
+    got = project_multipole(1, 1, 0.5, 1.0, 1, 0, grid=g)
     assert got == pytest.approx(0.5, abs=1e-9)  # r1
     spec = ExpansionSpec(2.0, 0, 0.5, 1.0)
-    got = project_multipole(2, 0, 0.5, 1.0, 1, 1, grid=g, l_cap=2)
+    got = project_multipole(2, 0, 0.5, 1.0, 1, 1, grid=g)
     assert got == pytest.approx(b_coeff(spec, 1, 1), abs=1e-8)
 
 
 def test_projection_seed_disagreement_flags_coarse_grid():
     g = build_grid(3, 3, 7)
     with pytest.raises(RuntimeError):
-        project_multipole(-3, 1, 0.5, 1.0, 3, 4, grid=g, l_cap=4,
+        project_multipole(-3, 1, 0.5, 1.0, 3, 4, grid=g,
                           agree_tol=1e-12)
