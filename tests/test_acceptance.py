@@ -283,12 +283,12 @@ def test_07b_projection_oracle_coverage():
     """Projection reaches l = 8 at r1/r2 = 0.5 and l = 4 at 0.7, to 1e-8.
 
     Each grid is the smallest of the (m, m, 2m+1) family from which on the
-    two rotation seeds agree and the bound holds: at 0.5, 18x18x37 fails
-    the seed gate on one coefficient; at 0.7, 26x26x53 passes the gate but
-    misses the bound and 27x27x55 fails the gate.
+    seed spread and each seed's error stay below 1e-10 and shrink with m:
+    at most 4e-12 at 0.5 on 12x12x25 (2e-10 on 11x11x23) and 4e-11 at 0.7
+    on 19x19x39 (2e-10 on 18x18x37).
     """
     worst, checked = 0.0, 0
-    for ratio, l_top, m in ((0.5, 8, 19), (0.7, 4, 28)):
+    for ratio, l_top, m in ((0.5, 8, 12), (0.7, 4, 19)):
         grid = build_grid(m, m, 2 * m + 1)
         for (n, j) in ((-2.0, 0), (-3.0, 1)):
             spec = ExpansionSpec(n, j, ratio, 1.0, l_max=l_top + j)

@@ -153,3 +153,27 @@ def test_projection_seed_disagreement_flags_coarse_grid():
     with pytest.raises(RuntimeError):
         project_multipole(-3, 1, 0.5, 1.0, 3, 4, grid=g,
                           agree_tol=1e-12)
+
+
+def test_projection_gate_margin_rejects_close_but_wrong_seeds():
+    # On 8x8x17 at r1/r2 = 0.5 the two default seeds agree to 3e-9 but
+    # both miss B^{(-3 1)}_{7 8} by ~4e-8: a gate on the bare spread would
+    # pass, the tenfold margin does not.
+    g = build_grid(8, 8, 17)
+    ref = b_coeff(ExpansionSpec(-3.0, 1, 0.5, 1.0, l_max=9), 7, 8)
+    vals = [verify._project_one(-3.0, 1, 0.5, 1.0, 7, 8, g, s)
+            for s in (7, 19)]
+    assert abs(vals[0] - vals[1]) < 1e-8
+    assert min(abs(v - ref) for v in vals) > 1e-8
+    with pytest.raises(RuntimeError):
+        project_multipole(-3.0, 1, 0.5, 1.0, 7, 8, grid=g)
+
+
+def test_projection_refines_the_given_grid():
+    # 10x10x21 is exact to degree 19; the x2 sum runs over its twofold
+    # refinement, exact to degree 39, which recovers this coefficient to
+    # rounding at r1/r2 = 0.38.
+    g = build_grid(10, 10, 21)
+    spec = ExpansionSpec(-3.0, 1, 0.38, 1.0, l_max=3)
+    got = project_multipole(-3.0, 1, 0.38, 1.0, 1, 2, grid=g)
+    assert got == pytest.approx(b_coeff(spec, 1, 2), abs=1e-13)
