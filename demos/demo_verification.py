@@ -7,8 +7,8 @@ recovers multipole coefficients with no reference to the series formulas.
 
 import numpy as np
 
-from hsh4 import (ExpansionSpec, b_coeff, build_grid, orthogonality_report,
-                  project_multipole)
+from hsh4 import ExpansionSpec, b_coeff
+from hsh4.verify import build_grid, orthogonality_report, project_multipole
 
 # A modest grid already integrates low ranks exactly; the total weight is
 # the volume of S^3, 2 pi^2.

@@ -1,5 +1,9 @@
 """4D hyperspherical harmonics, O(4) coupling coefficients and multipole
-expansions, with built-in quadrature verification."""
+expansions.
+
+This package imports the analytic route only.  The quadrature oracle that
+checks it lives in ``hsh4.verify``, the one module that loads scipy.
+"""
 
 from .special import (SeriesControl, DEFAULT_SERIES, ConvergenceError,
                       gegenbauer, hyp0f1, hyp2f1, pochhammer)
@@ -17,7 +21,5 @@ from .multipole import (ExpansionSpec, CoeffTable, admissible_pair,
                         plane_wave_radial, scalar_power_coeff,
                         laplacian_power, b_coeff, expand_translated,
                         expand_radial_function, eval_expansion)
-from .verify import (QuadratureGrid, build_grid, orthogonality_report,
-                     project_multipole)
 
 __version__ = "0.1.0"

@@ -22,7 +22,6 @@ import sys
 
 import numpy as np
 
-from . import verify as verify_mod
 from .coupling import cgc4_c, cgc4_c_closed, cgc4_h, ninej4
 from .harmonics import hsh_c, hsh_h
 from .multipole import ExpansionSpec, expand_translated
@@ -140,6 +139,8 @@ def _cmd_expand(args):
 
 
 def _cmd_verify(args):
+    # Only this verb loads the scipy oracle; the other verbs never import it.
+    from . import verify as verify_mod
     tol = args.tol if args.tol is not None else default_tol()
     if args.suite == "orthogonality":
         n0, n1, n2 = (int(t) for t in args.grid.split(","))

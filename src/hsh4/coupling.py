@@ -77,27 +77,24 @@ def ninej4(a, b, c, d, e, f, g, h, k):
     return wigner9j(a, b, c, d, e, f, g, h, k) ** 2
 
 
-def _inv_gamma(x):
-    """1/Gamma(x), with the zero at nonpositive integer x kept exact."""
-    if x <= 0 and x == int(x):
-        return 0.0
-    return 1.0 / math.gamma(x)
-
-
 def ninej4_closed(k, l, lp, j):
     """Closed form of the 4D 9j pattern [k k 0; l-k j-l+k j; l l' j]."""
     if k < 0 or not 0 <= k <= l or j - l + k < 0:
         raise ValueError("invalid pattern arguments")
-    if (j + l + lp) % 2 != 0 or lp < 0 or (j + l - lp) / 2 + 1 <= 0:
+    if (j + l + lp) % 2 != 0 or lp < 0:
         return 0.0
-    pre = math.exp(log_factorial(k) + log_factorial(j - l + k)
-                   - log_factorial(l + 1) - log_factorial(j + 1)) \
-        / ((k + 1.0) * (j + 1.0))
-    num = (math.gamma((j + l + lp) / 2 + 2)
-           * math.gamma((j + l - lp) / 2 + 1))
-    return (pre * num
-            * _inv_gamma((j - l - lp) / 2 + k + 1)
-            * _inv_gamma((j - l + lp) / 2 + k + 2))
+    # Every Gamma argument is an integer here, so a factor with a pole or a
+    # zero gives the exact 0, and the rest is one correctly rounded division
+    # of exact integers, where Gamma alone overflows a float from 172.
+    d = (j + l - lp) // 2
+    m1 = (j - l - lp) // 2 + k
+    m2 = (j - l + lp) // 2 + k + 1
+    if min(d, m1, m2) < 0:
+        return 0.0
+    fac = math.factorial
+    return (fac(k) * fac(j - l + k) * fac((j + l + lp) // 2 + 1) * fac(d)
+            / (fac(l + 1) * fac(j + 1) * fac(m1) * fac(m2)
+               * (k + 1) * (j + 1)))
 
 
 def _require(cond, msg):

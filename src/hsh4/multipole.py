@@ -19,8 +19,8 @@ import numpy as np
 
 from .coupling import bipolar_values
 from .harmonics import c_components
-from .special import (DEFAULT_SERIES, SeriesControl, double_factorial, hyp0f1,
-                      hyp2f1, pochhammer)
+from .special import (DEFAULT_SERIES, SeriesControl, hyp0f1, hyp2f1,
+                      log_factorial, pochhammer)
 
 __all__ = [
     "ExpansionSpec", "CoeffTable", "admissible_pair", "plane_wave_radial",
@@ -49,7 +49,11 @@ class ExpansionSpec:
             raise ValueError("l_max must be at least j")
         if not isinstance(ctl, SeriesControl):
             raise TypeError("ctl must be a SeriesControl")
-        if not _terminates(n, j) and r1 >= r2:
+        if _terminates(n, j):
+            # Snapped, so that b_coeff's exact zeros end the table where
+            # `terminated` says it ends.
+            n = round(n)
+        elif r1 >= r2:
             raise ValueError(
                 "expansion does not converge for r1 >= r2; swap r1 and r2")
         self.n = float(n)
@@ -85,7 +89,12 @@ def plane_wave_radial(l, a, r, ctl=DEFAULT_SERIES):
     if l < 0:
         raise ValueError("l must be nonnegative")
     x = a * r
-    lead = x ** l / (2.0 ** l * math.factorial(l))
+    if x == 0.0:
+        return float(l == 0)
+    # (x/2)^l / l! in one exponent: 2^l l! alone overflows from l = 171.
+    lead = math.exp(l * math.log(abs(x) / 2.0) - log_factorial(l))
+    if x < 0.0 and l % 2:
+        lead = -lead
     return lead * hyp0f1(l + 2, 0.25 * x * x, ctl)
 
 
@@ -97,9 +106,11 @@ def scalar_power_coeff(n, l):
     """
     if n < 0 or l < 0 or l > n or (n - l) % 2:
         return 0.0
-    num = math.factorial(n) * 2.0 * (l + 1)
-    den = double_factorial(n - l) * double_factorial(n + l + 2)
-    return num / den
+    # (2m)!! = 2^m m! turns the value into 2 (l+1) C(n+1, (n-l)/2) /
+    # ((n+1) 2^(n+1)): one correctly rounded division of exact integers,
+    # where n! alone overflows a float from n = 171.
+    return (2 * (l + 1) * math.comb(n + 1, (n - l) // 2)
+            / ((n + 1) * 2 ** (n + 1)))
 
 
 def laplacian_power(n, j, k):
@@ -217,8 +228,6 @@ def expand_translated(spec):
     entries = {}
     for l in range(spec.l_max + 1):
         for lp in _pair_range(spec.j, l):
-            if spec.terminated and (l + lp - spec.j) > round(spec.n - spec.j):
-                continue
             val = b_coeff(spec, l, lp)
             if val != 0.0:
                 entries[(l, lp)] = val

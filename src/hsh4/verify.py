@@ -95,9 +95,11 @@ def build_grid(n0, n1, n2):
 
 def _chi(j, lam, theta0):
     """Generalised character chi^{j/2}_lam(2 theta0) via scipy Gegenbauer."""
-    dfac = float(math.prod(range(2 * lam, 0, -2))) or 1.0
-    norm = dfac * math.sqrt(j + 1.0) * math.exp(
-        0.5 * (math.lgamma(j - lam + 1) - math.lgamma(j + lam + 2)))
+    # ln (2 lam)!! = lam ln 2 + ln lam! rides in the exponent with the
+    # factorial ratio; the double factorial alone overflows from lam ~ 151.
+    norm = math.sqrt(j + 1.0) * math.exp(
+        lam * math.log(2.0) + math.lgamma(lam + 1)
+        + 0.5 * (math.lgamma(j - lam + 1) - math.lgamma(j + lam + 2)))
     return (norm * np.sin(theta0) ** lam
             * eval_gegenbauer(j - lam, lam + 1, np.cos(theta0)))
 

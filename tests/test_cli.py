@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hsh4
 from hsh4.cli import main
 from hsh4.multipole import CoeffTable, eval_expansion
 
@@ -167,3 +171,36 @@ def test_bad_point_exit_two(capsys):
                         "--lambda", "0", "--alpha", "0", "--point", "1,2")
     assert code == 2
     assert "point" in err
+
+
+_ANALYTIC_ROUTE = """
+import contextlib, io, json, sys
+import hsh4
+from hsh4 import angular, cli, coupling, harmonics, multipole, special
+codes = []
+for argv in (["eval", "--family", "c", "--j", "2", "--lambda", "1",
+              "--alpha", "-1", "--point", "0.1,0.2,0.9,0.4"],
+             ["cgc", "--family", "c", "--q", "1,0,0,1,0,0,2,0,0"],
+             ["ninej", "--q", "1,1,2,1,1,2,2,2,0"],
+             ["expand", "--n", "-2", "--j", "0", "--r1", "0.5", "--r2", "1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+analytic = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(cli.main(["verify", "coupling"]))
+print(json.dumps({"codes": codes, "analytic": analytic,
+                  "oracle": "scipy.special" in sys.modules}))
+"""
+
+
+def test_analytic_route_loads_no_scipy():
+    # scipy belongs to the oracle alone; an analytic module that started
+    # using it would make hsh4.verify no longer an independent check.
+    src = str(pathlib.Path(hsh4.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _ANALYTIC_ROUTE],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0, 0, 0, 0]
+    assert result["analytic"] == []
+    assert result["oracle"]

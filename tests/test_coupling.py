@@ -157,6 +157,27 @@ def test_ninej4_closed_form():
                     assert got == pytest.approx(ref, abs=1e-14)
 
 
+@pytest.mark.parametrize("k, l, lp, j", [(2, 100, 100, 200), (0, 100, 150, 250),
+                                         (1, 90, 100, 188), (2, 170, 170, 170)])
+def test_ninej4_closed_high_rank_vs_mpmath(k, l, lp, j):
+    # Gamma alone overflows a float from argument 172; the last case is an
+    # exact zero of 1/Gamma((j - l - lp)/2 + k + 1)
+    import mpmath
+    with mpmath.workdps(40):
+        ref = float(mpmath.factorial(k) * mpmath.factorial(j - l + k)
+                    / (mpmath.factorial(l + 1) * mpmath.factorial(j + 1)
+                       * (k + 1) * (j + 1))
+                    * mpmath.gamma(mpmath.mpf(j + l + lp) / 2 + 2)
+                    * mpmath.gamma(mpmath.mpf(j + l - lp) / 2 + 1)
+                    * mpmath.rgamma(mpmath.mpf(j - l - lp) / 2 + k + 1)
+                    * mpmath.rgamma(mpmath.mpf(j - l + lp) / 2 + k + 2))
+    got = ninej4_closed(k, l, lp, j)
+    if ref == 0.0:
+        assert got == 0.0
+    else:
+        assert got == pytest.approx(ref, rel=1e-12)
+
+
 def test_bipolar_rank_zero_is_scalar_product():
     rng = np.random.default_rng(6)
     for l in range(4):

@@ -75,6 +75,35 @@ def test_scalar_power_reconstruction(n):
         assert total == pytest.approx(cg ** n, abs=1e-14)
 
 
+@pytest.mark.parametrize("l, a, r", [(171, 1.0, 100.0), (200, 2.0, 60.0),
+                                     (251, -1.0, 150.0)])
+def test_plane_wave_radial_high_rank_vs_mpmath(l, a, r):
+    # 2^l l! alone overflows a float from l = 171
+    import mpmath
+    with mpmath.workdps(40):
+        x = mpmath.mpf(a) * mpmath.mpf(r)
+        ref = float((x / 2) ** l / mpmath.factorial(l)
+                    * mpmath.hyp0f1(l + 2, x * x / 4))
+    assert plane_wave_radial(l, a, r) == pytest.approx(ref, rel=1e-12)
+
+
+def test_plane_wave_radial_zero_argument_is_exact():
+    assert plane_wave_radial(0, 0.0, 1.0) == 1.0
+    assert plane_wave_radial(3, 0.0, 1.0) == 0.0
+    assert plane_wave_radial(3, -0.5, 1.0) < 0.0 < plane_wave_radial(2, -0.5, 1.0)
+
+
+@pytest.mark.parametrize("n, l", [(171, 1), (200, 100), (300, 0), (400, 400)])
+def test_scalar_power_coeff_high_rank_vs_mpmath(n, l):
+    # n! alone overflows a float from n = 171
+    import mpmath
+    with mpmath.workdps(40):
+        ref = float(mpmath.factorial(n) * 2 * (l + 1)
+                    / (mpmath.fac2(n - l) * mpmath.fac2(n + l + 2)))
+    assert scalar_power_coeff(n, l) == pytest.approx(ref, rel=1e-12)
+    assert scalar_power_coeff(n, l + 1) == 0.0
+
+
 def test_laplacian_power_harmonic_cases():
     for j in range(4):
         assert laplacian_power(j, j, 1) == 0.0
@@ -175,6 +204,15 @@ def test_termination_bound():
         table = expand_translated(spec)
         assert table.terminated
         assert all(l + lp - j <= n - j for (l, lp) in table.entries)
+
+
+def test_near_terminating_power_is_terminating():
+    # n within 1e-12 of n - j even counts as terminating: the table ends
+    # there, and r1 >= r2 is allowed, as for the exact integer
+    for r1 in (0.5, 1.5):
+        near = expand_translated(ExpansionSpec(2.0 + 1e-13, 0, r1, 1.0))
+        exact = expand_translated(ExpansionSpec(2.0, 0, r1, 1.0))
+        assert near.terminated and near.entries == exact.entries
 
 
 def test_radial_function_reduction():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hsh4 import verify
-from hsh4.harmonics import c_components, cos4, h_to_c_matrix
+from hsh4.harmonics import c_components, c_flat_index, cos4, h_to_c_matrix
 from hsh4.multipole import ExpansionSpec, b_coeff
 from hsh4.verify import (build_grid, c_harmonics_at_vectors, gram_matrix,
                          orthogonality_report, project_multipole)
@@ -33,6 +33,39 @@ def test_scipy_route_matches_analytic_harmonics():
         V = c_harmonics_at_vectors(j, pts)
         ref = np.column_stack([c_components(j, p) for p in pts])
         np.testing.assert_allclose(V, ref, atol=1e-13)
+
+
+def _c_mp(j, lam, alpha, v):
+    """C_{j lam alpha} at 4-vector v from its defining formula in 40-digit mpmath."""
+    import mpmath
+    with mpmath.workdps(40):
+        x, y, z, z0 = (mpmath.mpf(float(t)) for t in v)
+        rho = mpmath.sqrt(x * x + y * y + z * z)
+        theta0 = mpmath.atan2(rho, z0)
+        chi = (mpmath.fac2(2 * lam) * mpmath.sqrt(j + 1)
+               * mpmath.sqrt(mpmath.factorial(j - lam)
+                             / mpmath.factorial(j + lam + 1))
+               * mpmath.sin(theta0) ** lam
+               * mpmath.gegenbauer(j - lam, lam + 1, mpmath.cos(theta0)))
+        return complex((-1j) ** lam * mpmath.sqrt(4 * mpmath.pi / (j + 1))
+                       * chi * mpmath.spherharm(lam, alpha, mpmath.acos(z / rho),
+                                                mpmath.atan2(y, x)))
+
+
+@pytest.mark.parametrize("j", [150, 160, 200])
+def test_scipy_route_high_rank_vs_mpmath(j):
+    # (2 lam)!! alone overflows a float from lam ~ 151; checked against
+    # mpmath, not hsh_c, so the oracle stays independent of the analytic route
+    pts = np.array([[0.3, -0.4, 0.5, 0.7], [0.1, 0.2, -0.9, 0.3],
+                    [0.6, 0.1, 0.2, -0.7]])
+    V = c_harmonics_at_vectors(j, pts)
+    assert np.all(np.isfinite(V))
+    for lam in (0, 1, j // 2, j - 1, j):
+        for alpha in {0, lam // 3, -lam}:
+            for p, v in enumerate(pts):
+                ref = _c_mp(j, lam, alpha, v)
+                assert abs(V[c_flat_index(lam, alpha), p] - ref) \
+                    <= 1e-10 * abs(ref)
 
 
 def test_harmonic_norms():
