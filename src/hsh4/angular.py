@@ -186,6 +186,25 @@ def _sign(n):
     return np.where(n % 2, -1.0, 1.0)
 
 
+def _alternating_sum(log_pre, base, step, sign, k_min, k_max, ok):
+    """sum_k (-1)^k exp(log_pre + sum_r sign[r] lf(base[r] + step[r] k)).
+
+    k runs from k_min to k_max elementwise, on an axis padded to the longest
+    range; slots past an element's own range, and elements where ok fails,
+    add 0.  Rows r lie on axis 0 of base; step and sign are per row.
+    """
+    shape = (-1,) + (1,) * ok.ndim
+    step = np.reshape(step, shape)
+    sign = np.reshape(sign, shape)
+    total = np.zeros(ok.shape)
+    for i in range(_span(k_min, k_max, ok)):
+        k = k_min + i
+        live = ok & (k <= k_max)
+        log_term = (_logfac_at(base + step * k, live) * sign).sum(axis=0)
+        total += np.where(live, _sign(k) * np.exp(log_pre + log_term), 0.0)
+    return total
+
+
 def _cgc3_array(tj1, tm1, tj2, tm2, tj, tm):
     """cgc3 over broadcast arrays of doubled arguments."""
     tj1, tm1, tj2, tm2, tj, tm = _int_arrays(tj1, tm1, tj2, tm2, tj, tm)
@@ -205,16 +224,10 @@ def _cgc3_array(tj1, tm1, tj2, tm2, tj, tm):
     base = np.stack([np.zeros_like(tj), (tj1 + tj2 - tj) // 2,
                      (tj1 - tm1) // 2, (tj2 + tm2) // 2,
                      (tj - tj2 + tm1) // 2, (tj - tj1 - tm2) // 2])
-    step = np.array([1, -1, -1, -1, 1, 1]).reshape((-1,) + (1,) * ok.ndim)
     k_min = np.maximum.reduce([base[0], -base[4], -base[5]])
     k_max = np.minimum.reduce([base[1], base[2], base[3]])
-    total = np.zeros(ok.shape)
-    for i in range(_span(k_min, k_max, ok)):
-        k = k_min + i
-        live = ok & (k <= k_max)
-        log_den = _logfac_at(base + step * k, live).sum(axis=0)
-        total += np.where(live, _sign(k) * np.exp(log_pre - log_den), 0.0)
-    return total
+    return _alternating_sum(log_pre, base, [1, -1, -1, -1, 1, 1], [-1.0] * 6,
+                            k_min, k_max, ok)
 
 
 def _wigner6j_array(ta, tb, tc, td, te, tf):
@@ -228,17 +241,11 @@ def _wigner6j_array(ta, tb, tc, td, te, tf):
     lows = np.stack([(x + y + z) // 2 for x, y, z in triads])
     highs = np.stack([(ta + tb + td + te) // 2, (ta + tc + td + tf) // 2,
                       (tb + tc + te + tf) // 2])
-    t_min, t_max = lows.max(axis=0), highs.min(axis=0)
-    signs = np.array([1.0] + [-1.0] * 7).reshape((-1,) + (1,) * ok.ndim)
-    total = np.zeros(ok.shape)
-    for i in range(_span(t_min, t_max, ok)):
-        t = t_min + i
-        live = ok & (t <= t_max)
-        lf = _logfac_at(np.concatenate([(t + 1)[None], t - lows, highs - t]),
-                        live)
-        log_term = (lf * signs).sum(axis=0)
-        total += np.where(live, _sign(t) * np.exp(log_delta + log_term), 0.0)
-    return total
+    # Rows: (t + 1)! over (t - low)! and (high - t)!.
+    base = np.concatenate([np.ones_like(ta)[None], -lows, highs])
+    return _alternating_sum(log_delta, base, [1] * 5 + [-1] * 3,
+                            [1.0] + [-1.0] * 7, lows.max(axis=0),
+                            highs.min(axis=0), ok)
 
 
 def _wigner9j_array(ta, tb, tc, td, te, tf, tg, th, tk):

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .coupling import bipolar_values
+from .coupling import bipolar_values, rank_triangle_ok
 from .harmonics import c_components
 from .special import (DEFAULT_SERIES, SeriesControl, hyp0f1, hyp2f1,
                       log_factorial, pochhammer)
@@ -77,8 +77,7 @@ def admissible_pair(j, l, lp):
 
     Requires j + l + l' even and the triangle |l - l'| <= j <= l + l'.
     """
-    return ((j + l + lp) % 2 == 0 and abs(l - lp) <= j <= l + lp
-            and l >= 0 and lp >= 0)
+    return l >= 0 and lp >= 0 and rank_triangle_ok(l, lp, j)
 
 
 def plane_wave_radial(l, a, r, ctl=DEFAULT_SERIES):

@@ -1,7 +1,6 @@
 """Scalar special functions used throughout the package.
 
-Factorial ladders, Pochhammer symbols, double factorials, Gegenbauer
-polynomials and the hypergeometric series 0F1 / 2F1.  Everything here is
+Factorial ladders, Pochhammer symbols, Gegenbauer polynomials and the hypergeometric series 0F1 / 2F1.  Everything here is
 pure and reentrant; the log-factorial table is filled once at import time.
 """
 
@@ -14,7 +13,6 @@ __all__ = [
     "ConvergenceError",
     "log_factorial",
     "pochhammer",
-    "double_factorial",
     "gegenbauer",
     "hyp2f1",
     "hyp0f1",
@@ -71,17 +69,6 @@ def pochhammer(a, k):
     return result
 
 
-def double_factorial(n):
-    """n!! for integer n >= -1, with (-1)!! = 0!! = 1."""
-    if n < -1:
-        raise ValueError(f"double_factorial: n must be >= -1, got {n}")
-    result = 1.0
-    while n > 1:
-        result *= n
-        n -= 2
-    return result
-
-
 def gegenbauer(alpha, n, x):
     """Gegenbauer polynomial C^alpha_n(x) by the ascending recurrence.
 
@@ -108,37 +95,34 @@ def _nonpositive_int(a):
 def hyp2f1(a, b, c, z, ctl=DEFAULT_SERIES):
     """Gauss hypergeometric series 2F1(a, b; c; z).
 
-    Terminating series (a or b a nonpositive integer) are summed exactly
-    over their finite terms; otherwise partial sums run until the relative
-    change drops below ctl.tol, which requires |z| < 1.
+    Terminating series (a or b a nonpositive integer) are summed over all
+    their finite terms, whatever ctl says; otherwise partial sums run until
+    the relative change drops below ctl.tol, which requires |z| < 1, or
+    raise ConvergenceError after ctl.max_terms terms.
     """
     n_terms = None
     if _nonpositive_int(a):
         n_terms = int(-a)
     if _nonpositive_int(b):
         n_terms = int(-b) if n_terms is None else min(n_terms, int(-b))
-
-    if n_terms is not None:
-        term = 1.0
-        total = 1.0
-        for k in range(n_terms):
-            term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
-            total += term
-        return total
-
-    if _nonpositive_int(c):
-        raise ValueError("hyp2f1: c is a nonpositive integer and the series "
-                         "does not terminate")
-    if abs(z) >= 1.0:
-        raise ValueError(f"hyp2f1: |z| >= 1 with non-terminating series "
-                         f"(z = {z})")
+    terminating = n_terms is not None
+    if not terminating:
+        if _nonpositive_int(c):
+            raise ValueError("hyp2f1: c is a nonpositive integer and the "
+                             "series does not terminate")
+        if abs(z) >= 1.0:
+            raise ValueError(f"hyp2f1: |z| >= 1 with non-terminating series "
+                             f"(z = {z})")
+        n_terms = ctl.max_terms
     term = 1.0
     total = 1.0
-    for k in range(ctl.max_terms):
+    for k in range(n_terms):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
         total += term
-        if abs(term) <= ctl.tol * abs(total):
+        if not terminating and abs(term) <= ctl.tol * abs(total):
             return total
+    if terminating:
+        return total
     raise ConvergenceError(f"hyp2f1({a}, {b}; {c}; {z}) did not converge in "
                            f"{ctl.max_terms} terms")
 

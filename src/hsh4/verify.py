@@ -15,7 +15,7 @@ appendix cases, multipole tables against the translated kernel itself).
 import math
 
 import numpy as np
-from scipy.special import eval_gegenbauer, sph_harm_y
+from scipy.special import eval_chebyu, eval_gegenbauer, sph_harm_y
 
 from .coupling import bipolar_plan, cgc4_c, cgc4_c_closed
 from .harmonics import c_components, c_flat_index, h_to_c_matrix
@@ -116,18 +116,6 @@ def _c_angular(lam, alpha, theta, phi):
             * sph_harm_y(lam, alpha, theta, phi))
 
 
-def c_harmonics_at(j, theta0, theta, phi):
-    """All C_{j,lam,alpha} values at given angle arrays: shape ((j+1)^2, N)."""
-    theta0 = np.asarray(theta0, dtype=float)
-    out = np.empty(((j + 1) ** 2,) + theta0.shape, dtype=complex)
-    for lam in range(j + 1):
-        radial = _c_radial(j, lam, theta0)
-        for alpha in range(-lam, lam + 1):
-            out[c_flat_index(lam, alpha)] = (
-                radial * _c_angular(lam, alpha, theta, phi))
-    return out
-
-
 def c_harmonics_at_vectors(j, vecs):
     """C-family values at an (N, 4) array of 4-vectors (any nonzero length)."""
     vecs = np.asarray(vecs, dtype=float)
@@ -139,11 +127,17 @@ def c_harmonics_at_vectors(j, vecs):
         ct = np.where(rho > 0, vecs[..., 2] / np.where(rho > 0, rho, 1.0), 1.0)
     theta = np.arccos(np.clip(ct, -1.0, 1.0))
     phi = np.arctan2(vecs[..., 1], vecs[..., 0])
-    return c_harmonics_at(j, theta0, theta, phi)
+    out = np.empty(((j + 1) ** 2,) + theta0.shape, dtype=complex)
+    for lam in range(j + 1):
+        radial = _c_radial(j, lam, theta0)
+        for alpha in range(-lam, lam + 1):
+            out[c_flat_index(lam, alpha)] = (
+                radial * _c_angular(lam, alpha, theta, phi))
+    return out
 
 
 def _zonal_harmonics(j, lam_max, theta0, theta):
-    """Rows C_{j,lam,0}, lam <= lam_max: alpha = 0 rows of c_harmonics_at."""
+    """Rows C_{j,lam,0}, lam <= lam_max, at arrays of theta0 and theta."""
     return np.array([_c_radial(j, lam, theta0) * _c_angular(lam, 0, theta, 0.0)
                      for lam in range(lam_max + 1)])
 
@@ -159,15 +153,12 @@ def _h_blockdiag_transform(G, j_max):
     return T.T @ G @ T
 
 
-def gram_matrix(family, j_max, grid):
-    """Pairwise overlap integrals of all harmonics with j <= j_max.
+def gram_matrix(j_max, grid):
+    """Pairwise overlap integrals of all C harmonics with j <= j_max.
 
     The Gram accumulates one theta0 slice at a time so the full value
-    matrix is never materialised; the H-family result is the blockwise
-    orthogonal transform of the C-family one.
+    matrix is never materialised.
     """
-    if family not in ("h", "c"):
-        raise ValueError(f"family must be 'h' or 'c', got {family!r}")
     n0, n1, n2 = grid.shape
     dim = sum((j + 1) ** 2 for j in range(j_max + 1))
     t, p = np.meshgrid(grid.theta, grid.phi, indexing="ij")
@@ -191,8 +182,6 @@ def gram_matrix(family, j_max, grid):
                 V[row + lo:row + hi + 1] = radial[j, lam, i] * ang[lo:hi + 1]
             row += (j + 1) ** 2
         G += grid.w0[i] * ((V * wang) @ V.conj().T)
-    if family == "h":
-        return _h_blockdiag_transform(G, j_max)
     return G
 
 
@@ -220,7 +209,7 @@ def orthogonality_report(j_max, grid, tol=1e-10):
     sizes = [(j + 1) ** 2 for j in range(j_max + 1)]
     diag_expected = np.concatenate(
         [np.full(d, _S3_VOLUME / (j + 1)) for j, d in enumerate(sizes)])
-    G = gram_matrix("c", j_max, grid)
+    G = gram_matrix(j_max, grid)
     grams = {"c": G, "h": _h_blockdiag_transform(G, j_max)}
     checks = []
     for family, G in grams.items():
@@ -250,19 +239,12 @@ def _kernel_component(n, j, r2sq, z0):
     """r^n C_{j,0,0}(r-hat) from squared lengths and fourth components.
 
     For lam = 0 the harmonic is the Chebyshev polynomial of the second
-    kind: C_{j,0,0} = U_j(cos theta0)/(j+1)^(1/2), evaluated by recurrence,
-    so kernel arrays take no transcendental beyond one root and one power.
+    kind, C_{j,0,0} = U_j(cos theta0)/(j+1)^(1/2), taken from scipy's
+    eval_chebyu at integer order: kernel arrays take no transcendental
+    beyond one root and one power, and no recurrence of the analytic route.
     """
-    r = np.sqrt(r2sq)
-    c = z0 / r
-    u_prev, u = np.ones_like(c), 2.0 * c
-    if j == 0:
-        char = u_prev
-    else:
-        for _ in range(j - 1):
-            u_prev, u = u, 2.0 * c * u - u_prev
-        char = u
-    return r2sq ** (0.5 * n) * char / math.sqrt(j + 1.0)
+    return (r2sq ** (0.5 * n) * eval_chebyu(j, z0 / np.sqrt(r2sq))
+            / math.sqrt(j + 1.0))
 
 
 # The benchmark's oracle workload clears this dict by name before each op;

@@ -7,8 +7,8 @@ import pytest
 import scipy.special as sp
 
 from hsh4.special import (ConvergenceError, DEFAULT_SERIES, SeriesControl,
-                          double_factorial, gegenbauer, hyp0f1, hyp2f1,
-                          log_factorial, pochhammer)
+                          gegenbauer, hyp0f1, hyp2f1, log_factorial,
+                          pochhammer)
 
 
 def test_series_control_validation():
@@ -43,12 +43,6 @@ def test_pochhammer_exact_zero():
     assert pochhammer(-3, 3) == -6.0
 
 
-@pytest.mark.parametrize("n,expected", [(-1, 1), (0, 1), (1, 1), (5, 15),
-                                        (6, 48), (8, 384)])
-def test_double_factorial(n, expected):
-    assert double_factorial(n) == expected
-
-
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5, 4.0])
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 12])
 def test_gegenbauer_vs_scipy(alpha, n):
@@ -76,6 +70,13 @@ def test_hyp2f1_terminating_outside_disk():
     # polynomial cases are valid for any argument
     assert hyp2f1(-2.0, 5.0, 1.5, 3.0) == pytest.approx(
         sp.hyp2f1(-2, 5, 1.5, 3.0), rel=1e-12)
+
+
+def test_hyp2f1_terminating_ignores_term_cap():
+    # a polynomial is summed over all its terms, whatever max_terms says
+    full = hyp2f1(-6.0, 2.5, 1.5, 0.7)
+    assert hyp2f1(-6.0, 2.5, 1.5, 0.7, SeriesControl(max_terms=1)) == full
+    assert full == pytest.approx(sp.hyp2f1(-6, 2.5, 1.5, 0.7), rel=1e-12)
 
 
 def test_hyp2f1_divergent_argument():
