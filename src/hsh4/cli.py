@@ -17,6 +17,7 @@ out (such as a series that does not converge).
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -142,6 +143,9 @@ def _cmd_verify(args):
     # Only this verb loads the scipy oracle; the other verbs never import it.
     from . import verify as verify_mod
     tol = args.tol if args.tol is not None else default_tol()
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance (--tol or HSH4_TOL) must be finite and "
+                         f"> 0, got {tol}")
     if args.suite == "orthogonality":
         n0, n1, n2 = (int(t) for t in args.grid.split(","))
         grid = verify_mod.build_grid(n0, n1, n2)

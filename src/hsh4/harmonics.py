@@ -92,6 +92,9 @@ def _direction(v):
     h = to_hyperangles(v)
     if h.r == 0.0:
         raise ValueError("zero vector has no direction")
+    if not math.isfinite(h.r):
+        raise ValueError(f"4-vector {v} has no finite length, so no "
+                         f"direction")
     return h
 
 
@@ -134,8 +137,14 @@ def c_flat_index(lam, alpha):
     return lam * lam + lam + alpha
 
 
+def _check_rank(j):
+    if j < 0:
+        raise ValueError(f"rank j must be nonnegative, got {j}")
+
+
 def h_components(j, v):
     """All (j+1)^2 H-harmonic values at v-hat, flat row-major over (mu, nu)."""
+    _check_rank(j)
     out = np.empty((j + 1) ** 2, dtype=complex)
     for tmu in range(-j, j + 1, 2):
         for tnu in range(-j, j + 1, 2):
@@ -145,6 +154,7 @@ def h_components(j, v):
 
 def c_components(j, v):
     """All (j+1)^2 C-harmonic values at v-hat, flat over lam^2 + lam + alpha."""
+    _check_rank(j)
     out = np.empty((j + 1) ** 2, dtype=complex)
     for lam in range(j + 1):
         for alpha in range(-lam, lam + 1):
@@ -158,9 +168,10 @@ def h_to_c_matrix(j):
 
     C_{j,lam,alf} = sqrt((2 lam+1)/(j+1))
                     sum_{mu nu} C^{(j/2) nu}_{(j/2) mu, lam alf} H_{j, mu, nu},
-    with alf = nu - mu fixed by the CGC selection rule.  This index reading
-    is the one under which the map agrees with the direct evaluation of
-    C-harmonics.
+    with alf = nu - mu fixed by the CGC selection rule: (j/2, mu) couples
+    with (lam, alf) to (j/2, nu).  Under this reading C = T H agrees with
+    hsh_c's direct evaluation at every direction (test_harmonics.py checks
+    it); the transposed reading does not.
     """
     n = (j + 1) ** 2
     t = np.zeros((n, n))

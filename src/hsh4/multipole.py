@@ -36,16 +36,27 @@ def _terminates(n, j):
     return k >= 0 and abs(d - 2 * k) < 1e-12
 
 
+def _integer(name, value):
+    """value as an int; 2, 2.0 and numpy integers pass, 2.5 or nan raise."""
+    if not (math.isfinite(value) and value == int(value)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 class ExpansionSpec:
     """Parameters of one translated-harmonic expansion r^n C_j."""
 
     def __init__(self, n, j, r1, r2, l_max=30, ctl=DEFAULT_SERIES):
-        j = int(j)
+        if not all(math.isfinite(x) for x in (n, r1, r2)):
+            raise ValueError(f"n, r1 and r2 must be finite, got "
+                             f"{n!r}, {r1!r}, {r2!r}")
+        j = _integer("rank j", j)
+        l_max = _integer("l_max", l_max)
         if j < 0:
             raise ValueError("rank j must be nonnegative")
         if r1 < 0 or r2 <= 0:
             raise ValueError("need r1 >= 0 and r2 > 0")
-        if int(l_max) < j:
+        if l_max < j:
             raise ValueError("l_max must be at least j")
         if not isinstance(ctl, SeriesControl):
             raise TypeError("ctl must be a SeriesControl")
@@ -60,7 +71,7 @@ class ExpansionSpec:
         self.j = j
         self.r1 = float(r1)
         self.r2 = float(r2)
-        self.l_max = int(l_max)
+        self.l_max = l_max
         self.ctl = ctl
 
     @property

@@ -206,6 +206,8 @@ def orthogonality_report(j_max, grid, tol=1e-10):
     Returns (checks, grams): a list of JSON-ready check records and the raw
     Gram matrices per family.
     """
+    if j_max < 0:
+        raise ValueError(f"j_max must be nonnegative, got {j_max}")
     sizes = [(j + 1) ** 2 for j in range(j_max + 1)]
     diag_expected = np.concatenate(
         [np.full(d, _S3_VOLUME / (j + 1)) for j, d in enumerate(sizes)])
@@ -297,19 +299,25 @@ def project_multipole(n, j, r1, r2, l, lp, grid=None, seeds=(7, 19),
     quadrature on grid had a product of two grids' errors, and the doubled
     degree restores that accuracy at a cost linear in the grid size.
 
-    The seeds must agree to agree_tol / 10 (relative to max(1, |B|)) or a
-    RuntimeError flags the grid as too coarse: for independent normal seed
-    errors the mean misses by more than the spread in 30% of cases, and by
-    more than ten spreads in 3%.
+    The seeds must be finite and agree to agree_tol / 10 (relative to
+    max(1, |B|)) or a RuntimeError flags the grid as too coarse: for
+    independent normal seed errors the mean misses by more than the spread
+    in 30% of cases, and by more than ten spreads in 3%.
     """
+    if not all(math.isfinite(x) for x in (n, r1, r2)):
+        raise ValueError(f"n, r1 and r2 must be finite, got "
+                         f"{n!r}, {r1!r}, {r2!r}")
     if r1 >= r2:
         raise ValueError("projection requires r1 < r2")
     if grid is None:
         grid = build_grid(18, 18, 37)
     vals = [_project_one(n, j, r1, r2, l, lp, grid, s) for s in seeds]
+    if not all(math.isfinite(v) for v in vals):
+        raise RuntimeError(f"projection seeds gave non-finite values {vals}")
     spread = max(vals) - min(vals)
     scale = max(1.0, max(abs(v) for v in vals))
-    if 10.0 * spread > agree_tol * scale:
+    # Written so that a NaN agree_tol fails the gate too.
+    if not 10.0 * spread <= agree_tol * scale:
         raise RuntimeError(
             f"projection seeds disagree by {spread:.3e}; grid too coarse")
     return float(np.mean(vals))

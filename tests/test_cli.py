@@ -166,6 +166,38 @@ def test_readme_cli_examples_run(capsys, line):
     assert code == 0, err
 
 
+@pytest.mark.parametrize("argv", [
+    ("expand", "--n", "-2", "--j", "0", "--r1", "nan", "--r2", "1"),
+    ("expand", "--n", "-2", "--j", "0", "--r1", "0.5", "--r2", "inf"),
+    ("eval", "--family", "c", "--j", "2", "--lambda", "1", "--alpha", "0",
+     "--point", "nan,0,0,1"),
+])
+def test_non_finite_input_exit_two(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == "" and "finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("suite,tol", [("expansion", "-1"),
+                                       ("orthogonality", "-1"),
+                                       ("coupling", "nan"),
+                                       ("coupling", "inf"),
+                                       ("coupling", "0")])
+def test_bad_tol_exit_two(capsys, suite, tol):
+    code, out, err = _run(capsys, "verify", suite, f"--tol={tol}",
+                          "--jmax", "1", "--grid", "8,8,17")
+    assert code == 2
+    assert out == "" and "tol" in err
+
+
+def test_bad_tol_env_exit_two(capsys, monkeypatch):
+    # the coupling suite floors its tolerance at 1e-12, so -1 used to pass
+    monkeypatch.setenv("HSH4_TOL", "-1")
+    code, out, err = _run(capsys, "verify", "coupling")
+    assert code == 2
+    assert out == "" and "HSH4_TOL" in err
+
+
 def test_bad_point_exit_two(capsys):
     code, _, err = _run(capsys, "eval", "--family", "c", "--j", "1",
                         "--lambda", "0", "--alpha", "0", "--point", "1,2")

@@ -124,6 +124,29 @@ def test_y_normalisation_scale():
             math.sqrt((j + 1) / 2.0) / math.pi * abs(c), abs=1e-14)
 
 
+@pytest.mark.parametrize("v", [[math.nan, 0.0, 0.0, 1.0],
+                               [0.0, math.inf, 0.0, 1.0]])
+def test_non_finite_direction_rejected(v):
+    with pytest.raises(ValueError, match="finite"):
+        hsh_c(2, 1, 0, v)
+    with pytest.raises(ValueError, match="finite"):
+        hsh_h(1, 1, -1, v)
+
+
+@pytest.mark.parametrize("func", [c_components, h_components])
+def test_negative_rank_components_rejected(func):
+    v = np.array([0.1, 0.2, 0.9, 0.4])
+    with pytest.raises(ValueError, match="rank"):
+        func(-1, v)
+
+
+@pytest.mark.parametrize("func", [scalar_product_c, scalar_product_h])
+def test_negative_rank_scalar_product_rejected(func):
+    v = np.array([0.1, 0.2, 0.9, 0.4])
+    with pytest.raises(ValueError, match="rank"):
+        func(-1, v, v)
+
+
 def test_invalid_indices_rejected():
     v = np.array([0.0, 0.0, 0.0, 1.0])
     with pytest.raises(ValueError):

@@ -29,6 +29,28 @@ def test_spec_validation():
     ExpansionSpec(2.0, 0, 1.5, 1.0)
 
 
+@pytest.mark.parametrize("n,r1,r2", [(-2.0, math.nan, 1.0),
+                                     (-2.0, 0.5, math.inf),
+                                     (math.nan, 0.5, 1.0)])
+def test_spec_rejects_non_finite(n, r1, r2):
+    with pytest.raises(ValueError, match="finite"):
+        ExpansionSpec(n, 0, r1, r2)
+
+
+@pytest.mark.parametrize("j,l_max", [(1.5, 30), (1, 2.7)])
+def test_spec_rejects_non_integer_rank(j, l_max):
+    # int() used to truncate these silently
+    with pytest.raises(ValueError, match="integer"):
+        ExpansionSpec(1.0, j, 0.5, 1.0, l_max=l_max)
+
+
+def test_spec_accepts_integer_valued_rank():
+    for j in (2, 2.0, np.int64(2)):
+        spec = ExpansionSpec(1.0, j, 0.5, 1.0, l_max=np.int32(4))
+        assert (spec.j, spec.l_max) == (2, 4)
+        assert type(spec.j) is int and type(spec.l_max) is int
+
+
 def test_admissible_pairs():
     assert admissible_pair(1, 0, 1)
     assert admissible_pair(1, 1, 0)

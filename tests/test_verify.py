@@ -155,6 +155,29 @@ def test_projection_requires_ordered_radii():
         project_multipole(1, 1, 1.0, 0.5, 0, 1)
 
 
+@pytest.mark.parametrize("n,r1,r2", [(1.0, math.nan, 1.0),
+                                     (1.0, 0.5, math.inf),
+                                     (math.nan, 0.5, 1.0)])
+def test_projection_rejects_non_finite(n, r1, r2):
+    with pytest.raises(ValueError, match="finite"):
+        project_multipole(n, 1, r1, r2, 0, 1, grid=build_grid(4, 4, 9))
+
+
+@pytest.mark.parametrize("vals", [(math.nan, math.nan), (1.0, math.nan),
+                                  (math.inf, math.inf)])
+def test_projection_gate_rejects_non_finite_seeds(monkeypatch, vals):
+    # a NaN spread compares False with the bound; the gate must still fail
+    seeds = iter(vals)
+    monkeypatch.setattr(verify, "_project_one", lambda *args: next(seeds))
+    with pytest.raises(RuntimeError):
+        project_multipole(1, 1, 0.5, 1.0, 0, 1)
+
+
+def test_orthogonality_report_rejects_negative_rank():
+    with pytest.raises(ValueError, match="j_max"):
+        orthogonality_report(-1, build_grid(4, 4, 9))
+
+
 def test_projection_inadmissible_pair_is_zero():
     g = build_grid(10, 10, 21)
     assert project_multipole(1, 1, 0.5, 1.0, 2, 0, grid=g,
