@@ -1,7 +1,8 @@
 """Scalar special functions used throughout the package.
 
-Factorial ladders, Pochhammer symbols, Gegenbauer polynomials and the hypergeometric series 0F1 / 2F1.  Everything here is
-pure and reentrant; the log-factorial table is filled once at import time.
+Factorial ladders, Pochhammer symbols, Gegenbauer polynomials and the
+hypergeometric series 0F1 / 2F1.  Everything here is pure and reentrant;
+the log-factorial table is filled once at import time.
 """
 
 import math
