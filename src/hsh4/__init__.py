@@ -11,7 +11,7 @@ from .angular import (cgc3, wigner6j, wigner9j, gen_character, mod_sph_harm,
                       rotation_u)
 from .harmonics import (HyperAngles, to_hyperangles, from_hyperangles,
                         hyp_components, hsh_h, hsh_c, hsh_y, h_components,
-                        c_components, h_flat_index, c_flat_index,
+                        c_components, c_table, h_flat_index, c_flat_index,
                         h_to_c_matrix, c_from_h, h_from_c, scalar_product_h,
                         scalar_product_c, cos4)
 from .coupling import (cgc4_h, cgc4_c, cgc4_c_closed, ninej4, ninej4_closed,

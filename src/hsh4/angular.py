@@ -10,10 +10,11 @@ All angular momenta and projections are passed as doubled integers (2j,
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from .special import _LOGFAC, gegenbauer, log_factorial
+from .special import _LOGFAC, log_factorial
 
 __all__ = [
     "validate_jm",
@@ -275,49 +276,82 @@ def _wigner9j_array(ta, tb, tc, td, te, tf, tg, th, tk):
     return total
 
 
+@lru_cache(maxsize=256)
+def _legendre_coeffs(top, orders, shift):
+    """Orders, sectoral seed factors and recurrence coefficients of
+    _legendre_rows: pure functions of (top, orders, shift), held read-only."""
+    m = np.arange(orders.start, orders.stop)
+    k = np.arange(1, orders.stop) + shift
+    sectoral = np.concatenate(([1.0], np.cumprod(-np.sqrt((2 * k - 1)
+                                                          / (2 * k)))))
+    n = np.arange(top + 1)[:, None] + shift
+    mm = m + shift
+    live = n > mm
+    den = np.where(live, (n - mm) * (n + mm), 1.0)
+    a = np.where(live, (2 * n - 1) / np.sqrt(den), 0.0)[..., None]
+    b = np.sqrt(np.maximum(n - mm - 1, 0.0) * (n + mm - 1) / den)[..., None]
+    out = (m, sectoral[m, None], a, b)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+def _legendre_rows(top, orders, x, s, shift=0.0):
+    """Normalised associated Legendre functions of degree 0..top.
+
+    rows[n, k] = sqrt((n-m)!/(n+m)!) P_n^m(x), Condon-Shortley, for the
+    order m = orders[k] (a range of nonnegative integers) and x = cos, s =
+    sin of one angle (1-D arrays); rows below the diagonal n < m are 0.
+    Shape (top + 1, len(orders), len(x)).
+
+    Each column starts from its sectoral seed
+    s^m prod_{k<=m} (-sqrt((2k-1)/(2k))) and runs upward in degree by
+
+      p_n = (2n-1) x p_{n-1} / sqrt((n-m)(n+m))
+            - sqrt((n-m-1)(n+m-1)/((n-m)(n+m))) p_{n-2},
+
+    the degree recurrence with the norm folded into its coefficients, which
+    are all O(1): nothing overflows at any degree (Holmes & Featherstone, J.
+    Geodesy 76 (2002) 279).  With shift = 1/2, n and m stand for n + 1/2 and
+    m + 1/2 in the seed and the coefficients, and row j, order lam is the
+    Gegenbauer factor of the generalised characters,
+
+      (-1)^lam 2^lam lam! sqrt((j-lam)!/(j+lam+1)!) s^lam C^{lam+1}_{j-lam}(x),
+
+    whose recurrence in j is the Gegenbauer one in j - lam, normalised.
+    """
+    m, seed, a, b = _legendre_coeffs(top, orders, shift)
+    rows = np.zeros((top + 1, len(m), len(x)))
+    rows[m, np.arange(len(m))] = seed * s ** m[:, None]
+    for deg in range(orders.start + 1, top + 1):
+        hi = min(deg - orders.start, len(m))  # orders below deg are live
+        rows[deg, :hi] = (a[deg, :hi] * x * rows[deg - 1, :hi]
+                          - b[deg, :hi] * rows[deg - 2, :hi])
+    return rows
+
+
+def _flat_points(*arrays):
+    """The arrays broadcast together and flattened, and their common shape."""
+    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in arrays))
+    return [a.ravel() for a in arrays], arrays[0].shape
+
+
 def gen_character(tl, lam, omega):
     """Generalised character chi^l_lambda(omega) of the rotation group.
 
     chi^l_lam(w) = (2 lam)!! sqrt(2l+1) sqrt((2l-lam)!/(2l+lam+1)!)
                    sin(w/2)^lam C^{lam+1}_{2l-lam}(cos(w/2)),
-    with tl = 2l doubled.  Accepts numpy arrays for omega.
+    with tl = 2l doubled.  Accepts numpy arrays for omega.  The factor after
+    sqrt(2l+1) is a half-integer Legendre row of _legendre_rows.
     """
     if not 0 <= lam <= tl:
         raise ValueError(f"gen_character: need 0 <= lambda <= 2l, got "
                          f"lambda = {lam}, 2l = {tl}")
-    half = 0.5 * np.asarray(omega, dtype=float)
-    # ln (2 lam)!! = lam ln 2 + ln lam! rides in the exponent with the
-    # factorial ratio; the double factorial alone overflows from lam ~ 151.
-    pre = math.exp(lam * math.log(2.0) + log_factorial(lam)
-                   + 0.5 * (log_factorial(tl - lam)
-                            - log_factorial(tl + lam + 1)))
-    value = (math.sqrt(tl + 1.0) * pre
-             * np.sin(half) ** lam * gegenbauer(lam + 1, tl - lam, np.cos(half)))
-    if np.isscalar(omega) or np.asarray(omega).ndim == 0:
-        return float(value)
-    return value
-
-
-def _normed_assoc_legendre(lam, alpha, x):
-    """sqrt((lam-alpha)!/(lam+alpha)!) P_lam^alpha(x), Condon-Shortley, alpha >= 0.
-
-    The seed sqrt((2a)!)^-1 (-1)^a (2a-1)!! (1 - x^2)^(a/2) carries
-    ln (2a-1)!! = ln (2a)! - a ln 2 - ln a! in one exponent with the norm
-    (the double factorial alone overflows from a ~ 151); the upward
-    recurrence in degree is linear, so the normalised seeds start it.
-    """
-    seed = (-1.0) ** alpha * math.exp(
-        log_factorial(2 * alpha) - alpha * math.log(2.0) - log_factorial(alpha)
-        + 0.5 * (log_factorial(lam - alpha) - log_factorial(lam + alpha)))
-    paa = seed * (1.0 - x * x) ** (alpha / 2.0)
-    if lam == alpha:
-        return paa
-    prev = paa
-    cur = (2.0 * alpha + 1.0) * x * paa
-    for deg in range(alpha + 2, lam + 1):
-        prev, cur = cur, ((2.0 * deg - 1.0) * x * cur
-                          - (deg + alpha - 1.0) * prev) / (deg - alpha)
-    return cur
+    (omega,), shape = _flat_points(omega)
+    rows = _legendre_rows(tl, range(lam, lam + 1), np.cos(0.5 * omega),
+                          np.sin(0.5 * omega), shift=0.5)
+    value = ((-1.0) ** lam * math.sqrt(tl + 1.0) * rows[tl, 0]).reshape(shape)
+    return float(value) if value.ndim == 0 else value
 
 
 def mod_sph_harm(lam, alpha, theta, phi):
@@ -330,15 +364,13 @@ def mod_sph_harm(lam, alpha, theta, phi):
         raise ValueError(f"mod_sph_harm: |alpha| <= lambda required, got "
                          f"alpha = {alpha}, lambda = {lam}")
     a = abs(alpha)
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    value = (_normed_assoc_legendre(lam, a, np.cos(theta))
-             * np.exp(1j * a * phi))
+    (theta, phi), shape = _flat_points(theta, phi)
+    rows = _legendre_rows(lam, range(a, a + 1), np.cos(theta),
+                          np.abs(np.sin(theta)))
+    value = (rows[lam, 0] * np.exp(1j * a * phi)).reshape(shape)
     if alpha < 0:
         value = (-1.0) ** a * np.conj(value)
-    if value.ndim == 0:
-        return complex(value)
-    return value
+    return complex(value) if value.ndim == 0 else value
 
 
 def rotation_u(tl, tmu, tnu, omega, theta, phi):

@@ -17,7 +17,7 @@ import numpy as np
 from .angular import (_cgc3_array, _wigner9j_array, cgc3, wigner6j,
                       wigner9j)
 from .harmonics import (c_components, c_flat_index, h_components,
-                        h_flat_index, hsh_c, hsh_h)
+                        h_flat_index, hsh_h)
 from .special import log_factorial
 
 __all__ = [
@@ -308,9 +308,11 @@ def linearize_product(family, j1, idx1, j2, idx2, v):
                 terms.append((j, (tmu, tnu), c, hsh_h(j, tmu, tnu, v)))
         else:
             alf = idx1[1] + idx2[1]
+            comps = c_components(j, v)
             for lam in range(abs(alf), j + 1):
                 c = cgc4_c(j1, idx1[0], idx1[1], j2, idx2[0], idx2[1],
                            j, lam, alf)
                 if c != 0.0:
-                    terms.append((j, (lam, alf), c, hsh_c(j, lam, alf, v)))
+                    terms.append((j, (lam, alf), c,
+                                  complex(comps[c_flat_index(lam, alf)])))
     return terms

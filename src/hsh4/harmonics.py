@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import cgc3, gen_character, mod_sph_harm, rotation_u, validate_jm
+from .angular import _legendre_rows, cgc3, rotation_u, validate_jm
 
 __all__ = [
     "HyperAngles",
@@ -27,6 +27,7 @@ __all__ = [
     "hsh_y",
     "h_components",
     "c_components",
+    "c_table",
     "c_from_h",
     "h_from_c",
     "scalar_product_h",
@@ -46,20 +47,44 @@ class HyperAngles:
     phi: float
 
 
+def _point(v):
+    v = np.asarray(v, dtype=float)
+    if v.shape != (4,):
+        raise ValueError(f"expected a 4-vector, got shape {v.shape}")
+    return v
+
+
+def _hyperangles(points):
+    """Arrays (r, theta0, theta, phi) of an (N, 4) array of 4-vectors.
+
+    Each vector is divided by its largest |component| before any square is
+    taken, so the angles of every finite vector are right; only r itself can
+    overflow.  Non-finite components raise ValueError; a zero vector has
+    all-zero angles.
+    """
+    v = np.asarray(points, dtype=float)
+    if v.ndim != 2 or v.shape[1] != 4:
+        raise ValueError(f"expected an (N, 4) array of 4-vectors, got shape "
+                         f"{v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError("4-vectors with non-finite components have no "
+                         "direction")
+    scale = np.max(np.abs(v), axis=1)
+    x, y, z, z0 = (v / np.where(scale > 0.0, scale, 1.0)[:, None]).T
+    rho_xy = np.hypot(x, y)
+    rho = np.hypot(rho_xy, z)
+    return (scale * np.hypot(rho, z0), np.arctan2(rho, z0),
+            np.arctan2(rho_xy, z), np.arctan2(y, x) % (2.0 * np.pi))
+
+
 def to_hyperangles(v):
     """Hyperspherical coordinates of the 4-vector v = (x, y, z, z0).
 
     theta0 = arccos(z0/r), theta = atan2(hypot(x, y), z), phi = atan2(y, x)
-    mapped to [0, 2 pi).  The zero vector maps to all-zero angles.
+    mapped to [0, 2 pi).  The zero vector maps to all-zero angles; a
+    non-finite component raises ValueError.
     """
-    x, y, z, z0 = (float(c) for c in v)
-    r = math.sqrt(x * x + y * y + z * z + z0 * z0)
-    if r == 0.0:
-        return HyperAngles(0.0, 0.0, 0.0, 0.0)
-    theta0 = math.acos(max(-1.0, min(1.0, z0 / r)))
-    theta = math.atan2(math.hypot(x, y), z)
-    phi = math.atan2(y, x) % (2.0 * math.pi)
-    return HyperAngles(r, theta0, theta, phi)
+    return HyperAngles(*(float(a[0]) for a in _hyperangles(_point(v)[None])))
 
 
 def from_hyperangles(h):
@@ -92,9 +117,6 @@ def _direction(v):
     h = to_hyperangles(v)
     if h.r == 0.0:
         raise ValueError("zero vector has no direction")
-    if not math.isfinite(h.r):
-        raise ValueError(f"4-vector {v} has no finite length, so no "
-                         f"direction")
     return h
 
 
@@ -110,15 +132,12 @@ def hsh_c(j, lam, alpha, v):
     """Spherical-type harmonic C_{j, lam, alpha}(v-hat).
 
     C_{j,lam,alf} = (-i)^lam sqrt((2 lam+1)/(j+1)) chi^{j/2}_lam(2 theta0)
-    C_{lam alf}(theta, phi).
+    C_{lam alf}(theta, phi); one entry of c_components.
     """
     if not 0 <= lam <= j or abs(alpha) > lam:
         raise ValueError(f"invalid C-harmonic index (j, lam, alpha) = "
                          f"({j}, {lam}, {alpha})")
-    h = _direction(v)
-    return ((-1j) ** lam * math.sqrt((2.0 * lam + 1.0) / (j + 1.0))
-            * gen_character(j, lam, 2.0 * h.theta0)
-            * mod_sph_harm(lam, alpha, h.theta, h.phi))
+    return complex(c_components(j, v)[c_flat_index(lam, alpha)])
 
 
 def hsh_y(j, lam, alpha, v):
@@ -152,14 +171,70 @@ def h_components(j, v):
     return out
 
 
+_I_POWERS = np.array([1.0, 1j, -1.0, -1j])
+
+
+@lru_cache(maxsize=256)
+def _c_labels(j):
+    """Arrays over the flat C indices lam^2 + lam + alpha up to rank j: lam,
+    alpha, the sign (-1)^alpha where alpha < 0 (1 elsewhere), the norm
+    i^lam sqrt(2 lam + 1) and the flat index of (lam, -alpha).  Pure
+    functions of j, held read-only."""
+    lam = np.repeat(np.arange(j + 1), 2 * np.arange(j + 1) + 1)
+    alpha = np.arange((j + 1) ** 2) - lam * lam - lam
+    out = (lam, alpha, np.where((alpha < 0) & (alpha % 2 == 1), -1.0, 1.0),
+           _I_POWERS[lam % 4] * np.sqrt(2.0 * lam + 1.0),
+           lam * lam + lam - alpha)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+def _c_factors(top, points):
+    """The two factors of every C_{j,lam,alpha}, j <= top, at (N, 4) points.
+
+    C_{j,lam,alf} = g[j, lam] y[lam^2 + lam + alf], where g holds the
+    Gegenbauer rows (-1)^lam chi^{j/2}_lam(2 theta0)/sqrt(j+1) and y the
+    modified spherical harmonics times i^lam sqrt(2 lam + 1).  Both come
+    from _legendre_rows, once per point batch.
+    """
+    _check_rank(top)
+    r, theta0, theta, phi = _hyperangles(points)
+    if (r == 0.0).any():
+        raise ValueError("zero vector has no direction")
+    orders = range(top + 1)
+    g = _legendre_rows(top, orders, np.cos(theta0), np.sin(theta0),
+                       shift=0.5)
+    p = _legendre_rows(top, orders, np.cos(theta), np.sin(theta))
+    lam, alpha, sign, norm = _c_labels(top)[:4]
+    # C_{lam, -alf} = (-1)^alf conj(C_{lam alf}) for the real Legendre rows.
+    y = ((sign * norm)[:, None] * p[lam, np.abs(alpha)]
+         * np.exp(1j * alpha[:, None] * phi))
+    return g, y, lam
+
+
+def c_table(top, points):
+    """Every C-harmonic of rank j <= top at an (N, 4) batch of points.
+
+    Returns a list whose entry j is the ((j+1)^2, N) complex array of
+    C_{j,lam,alpha}, rows flat over lam^2 + lam + alpha.  The hyperangles
+    and the two recurrences of _legendre_rows run once for the whole batch
+    and every rank.
+    """
+    g, y, lam = _c_factors(top, points)
+    return [g[j, lam[:(j + 1) ** 2]] * y[:(j + 1) ** 2]
+            for j in range(top + 1)]
+
+
+def _c_rank(j, points):
+    """Rank j of c_table alone, at O(j^2) cost per point."""
+    g, y, lam = _c_factors(j, points)
+    return g[j, lam] * y
+
+
 def c_components(j, v):
     """All (j+1)^2 C-harmonic values at v-hat, flat over lam^2 + lam + alpha."""
-    _check_rank(j)
-    out = np.empty((j + 1) ** 2, dtype=complex)
-    for lam in range(j + 1):
-        for alpha in range(-lam, lam + 1):
-            out[c_flat_index(lam, alpha)] = hsh_c(j, lam, alpha, v)
-    return out
+    return _c_rank(j, _point(v)[None])[:, 0]
 
 
 @lru_cache(maxsize=None)
@@ -217,15 +292,10 @@ def scalar_product_c(j, a, b):
     Equals the Gegenbauer polynomial C^1_j(cos gamma) of the 4D angle
     between a and b.
     """
-    ca = c_components(j, a)
-    cb = c_components(j, b)
-    total = 0.0 + 0.0j
-    for lam in range(j + 1):
-        for alpha in range(-lam, lam + 1):
-            total += ((-1.0) ** (lam + alpha)
-                      * ca[c_flat_index(lam, alpha)]
-                      * cb[c_flat_index(lam, -alpha)])
-    return float(total.real)
+    ca, cb = _c_rank(j, np.stack([_point(a), _point(b)])).T
+    lam, alpha, _, _, flip = _c_labels(j)
+    sign = 1.0 - 2.0 * ((lam + alpha) % 2)
+    return float(np.sum(sign * ca * cb[flip]).real)
 
 
 def cos4(a, b):

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .coupling import bipolar_values, rank_triangle_ok
-from .harmonics import c_components
+from .harmonics import c_table
 from .special import (DEFAULT_SERIES, SeriesControl, hyp0f1, hyp2f1,
                       log_factorial, pochhammer)
 
@@ -267,16 +267,24 @@ def eval_expansion(table, j, r1hat, r2hat):
 
     Returns the complex array over the outer (lam, alpha) components of
     sum_{l lp} B_{l lp} {C_l(r1-hat) x C_{lp}(r2-hat)}_{j, lam, alpha}.
-    A table that records its rank must be evaluated at that rank.
+    r1hat and r2hat are two 4-vectors, or two (N, 4) batches of the same
+    shape, which give one column per pair: shape ((j+1)^2, N).  A table
+    that records its rank must be evaluated at that rank.
     """
     if table.j is not None and table.j != j:
         raise ValueError(f"table holds rank j = {table.j}, not j = {j}")
-    out = np.zeros((j + 1) ** 2, dtype=complex)
-    cache1, cache2 = {}, {}
+    r1 = np.asarray(r1hat, dtype=float)
+    r2 = np.asarray(r2hat, dtype=float)
+    if r1.shape != r2.shape or r1.ndim not in (1, 2) or r1.shape[-1] != 4:
+        raise ValueError(f"r1hat and r2hat must be 4-vectors or (N, 4) "
+                         f"batches of one shape, got shapes {r1.shape} and "
+                         f"{r2.shape}")
+    n = len(r1) if r1.ndim == 2 else 1
+    top = max((max(key) for key in table.entries), default=0)
+    comps = c_table(top, np.concatenate([r1.reshape(-1, 4),
+                                         r2.reshape(-1, 4)]))
+    out = np.zeros(((j + 1) ** 2, n), dtype=complex)
     for (l, lp), val in table.entries.items():
-        if l not in cache1:
-            cache1[l] = c_components(l, r1hat)
-        if lp not in cache2:
-            cache2[lp] = c_components(lp, r2hat)
-        out += val * bipolar_values("c", l, lp, j, cache1[l], cache2[lp])
-    return out
+        out += val * bipolar_values("c", l, lp, j, comps[l][:, :n],
+                                    comps[lp][:, n:])
+    return out if r1.ndim == 2 else out[:, 0]

@@ -185,8 +185,14 @@ def gram_matrix(j_max, grid):
     return G
 
 
+def _check_tol(tol):
+    # Written so that a NaN tol fails too.
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+
+
 def check_entry(check, params, expected, observed, tol):
-    """One serializable verification record."""
+    """One serializable verification record, judged against tol."""
     abs_err = abs(expected - observed)
     rel_err = abs_err / abs(expected) if expected else abs_err
     return {
@@ -196,6 +202,7 @@ def check_entry(check, params, expected, observed, tol):
         "observed": observed,
         "abs_err": abs_err,
         "rel_err": rel_err,
+        "tol": tol,
         "pass": abs_err <= tol,
     }
 
@@ -208,6 +215,7 @@ def orthogonality_report(j_max, grid, tol=1e-10):
     """
     if j_max < 0:
         raise ValueError(f"j_max must be nonnegative, got {j_max}")
+    _check_tol(tol)
     sizes = [(j + 1) ** 2 for j in range(j_max + 1)]
     diag_expected = np.concatenate(
         [np.full(d, _S3_VOLUME / (j + 1)) for j, d in enumerate(sizes)])
@@ -324,7 +332,12 @@ def project_multipole(n, j, r1, r2, l, lp, grid=None, seeds=(7, 19),
 
 
 def expansion_checks(tol, seed):
-    """Seeded residuals of four multipole tables against r^n C_j(r-hat)."""
+    """Seeded residuals of four multipole tables against r^n C_j(r-hat).
+
+    Each record is judged against max(tol, 1e-8), the truncation floor of
+    the l_max = 30 and 32 tables, and says so in its "tol".
+    """
+    _check_tol(tol)
     checks = []
     rng = np.random.default_rng(seed)
     for (n, j) in ((1, 1), (2, 0), (3, 1), (-2, 0)):
@@ -349,7 +362,12 @@ def expansion_checks(tol, seed):
 
 
 def coupling_checks(tol, seed):
-    """C-type CGC orthogonality on seeded columns and the stretched closed form."""
+    """C-type CGC orthogonality on seeded columns and the stretched closed form.
+
+    Each record is judged against max(tol, 1e-12), the rounding floor of the
+    Racah sums, and says so in its "tol".
+    """
+    _check_tol(tol)
     checks = []
     rng = np.random.default_rng(seed)
     # CGC contraction orthogonality on random columns.

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from hsh4.harmonics import (c_components, c_flat_index, c_from_h, cos4,
-                            from_hyperangles, h_components, h_flat_index,
-                            h_from_c, h_to_c_matrix, hsh_c, hsh_h, hsh_y,
-                            hyp_components, scalar_product_c,
+from hsh4.harmonics import (c_components, c_flat_index, c_from_h, c_table,
+                            cos4, from_hyperangles, h_components,
+                            h_flat_index, h_from_c, h_to_c_matrix, hsh_c,
+                            hsh_h, hsh_y, hyp_components, scalar_product_c,
                             scalar_product_h, to_hyperangles)
 
 
@@ -155,3 +155,59 @@ def test_invalid_indices_rejected():
         hsh_c(2, 1, 2, v)
     with pytest.raises(ValueError):
         hsh_h(2, 1, 0, v)  # parity of 2mu must match j
+
+
+def test_huge_vector_keeps_its_direction():
+    # squaring 1e200 overflows; the angles must not
+    h = to_hyperangles([1e200, 0.0, 0.0, 1e200])
+    assert h.theta0 == pytest.approx(math.pi / 4, abs=1e-15)
+    assert h.r == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+    unit = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+    for lam, alpha in ((0, 0), (1, -1), (2, 1)):
+        assert hsh_c(2, lam, alpha, [1e200, 0.0, 0.0, 1e200]) == \
+            pytest.approx(hsh_c(2, lam, alpha, unit), abs=1e-15)
+
+
+@pytest.mark.parametrize("v", [[math.inf, 0.0, 0.0, 1.0],
+                               [0.0, 0.0, math.nan, 1.0]])
+def test_non_finite_vector_has_no_angles(v):
+    with pytest.raises(ValueError, match="finite"):
+        to_hyperangles(v)
+    with pytest.raises(ValueError, match="finite"):
+        hsh_c(1, 1, 0, v)
+    with pytest.raises(ValueError, match="finite"):
+        c_table(1, [[0.0, 0.0, 0.0, 1.0], v])
+
+
+def test_c_table_ranks_are_c_components():
+    rng = np.random.default_rng(14)
+    pts = rng.normal(size=(3, 4))
+    table = c_table(6, pts)
+    assert len(table) == 7
+    for j, block in enumerate(table):
+        assert block.shape == ((j + 1) ** 2, 3)
+        for i, p in enumerate(pts):
+            np.testing.assert_allclose(block[:, i], c_components(j, p),
+                                       rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("points", [[[0.0, 0.0, 0.0, 0.0]], [0.0, 0.0, 1.0],
+                                    [[0.0, 0.0, 0.0, 1.0, 2.0]]])
+def test_c_table_rejects_bad_points(points):
+    with pytest.raises(ValueError):
+        c_table(2, points)
+
+
+def test_c_table_rejects_negative_rank():
+    with pytest.raises(ValueError, match="rank"):
+        c_table(-1, [[0.0, 0.0, 0.0, 1.0]])
+
+
+def test_scalar_product_c_is_gegenbauer_to_rank_40():
+    # (C_j(a) . C_j(b)) = C^1_j(cos gamma) = sin((j+1) gamma)/sin(gamma)
+    rng = np.random.default_rng(15)
+    for j in range(41):
+        a, b = rng.normal(size=4), rng.normal(size=4)
+        gamma = math.acos(cos4(a, b))
+        ref = math.sin((j + 1) * gamma) / math.sin(gamma)
+        assert scalar_product_c(j, a, b) == pytest.approx(ref, abs=1e-12)

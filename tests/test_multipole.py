@@ -326,3 +326,24 @@ def test_eval_expansion_rejects_other_rank():
     np.testing.assert_array_equal(
         eval_expansion(untagged, 1, [1, 0, 0, 0], [0, 0, 0, 1]),
         eval_expansion(table, 1, [1, 0, 0, 0], [0, 0, 0, 1]))
+
+
+def test_eval_expansion_batch_columns_are_single_pairs():
+    table = expand_translated(ExpansionSpec(-3, 1, 0.3, 1.0, l_max=12))
+    rng = np.random.default_rng(41)
+    a, b = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
+    batch = eval_expansion(table, 1, a, b)
+    assert batch.shape == (4, 5)
+    for i in range(5):
+        single = eval_expansion(table, 1, a[i], b[i])
+        assert single.shape == (4,)
+        np.testing.assert_allclose(batch[:, i], single, rtol=1e-15,
+                                   atol=1e-15)
+
+
+@pytest.mark.parametrize("shapes", [((3, 4), (2, 4)), ((4,), (1, 4)),
+                                    ((3,), (3,)), ((2, 2, 4), (2, 2, 4))])
+def test_eval_expansion_rejects_mismatched_batches(shapes):
+    table = expand_translated(ExpansionSpec(-2, 0, 0.3, 1.0, l_max=4))
+    with pytest.raises(ValueError, match="shape"):
+        eval_expansion(table, 0, np.ones(shapes[0]), np.ones(shapes[1]))

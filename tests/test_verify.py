@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from hsh4 import verify
-from hsh4.harmonics import c_components, c_flat_index, cos4, h_to_c_matrix
+from hsh4.harmonics import (c_components, c_flat_index, c_table, cos4,
+                            h_to_c_matrix)
 from hsh4.multipole import ExpansionSpec, b_coeff
 from hsh4.verify import (build_grid, c_harmonics_at_vectors,
+                         coupling_checks, expansion_checks,
                          orthogonality_report, project_multipole)
 
 S3 = 2.0 * math.pi ** 2
@@ -95,7 +97,7 @@ def test_orthogonality_report_passes():
     assert all(c["pass"] for c in checks)
     for c in checks:
         assert set(c) == {"check", "params", "expected", "observed",
-                          "abs_err", "rel_err", "pass"}
+                          "abs_err", "rel_err", "tol", "pass"}
     # families share diagonal values
     np.testing.assert_allclose(np.diag(grams["c"]), np.diag(grams["h"]),
                                atol=1e-10)
@@ -225,3 +227,52 @@ def test_projection_refines_the_given_grid():
     spec = ExpansionSpec(-3.0, 1, 0.38, 1.0, l_max=3)
     got = project_multipole(-3.0, 1, 0.38, 1.0, 1, 2, grid=g)
     assert got == pytest.approx(b_coeff(spec, 1, 2), abs=1e-13)
+
+
+def test_c_table_matches_scipy_route_to_rank_40():
+    rng = np.random.default_rng(31)
+    poles = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, -1.0],
+                      [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, -1.0, 0.0]])
+    pts = np.vstack([rng.normal(size=(6, 4)), poles])
+    table = c_table(40, pts)
+    for j in range(41):
+        ref = c_harmonics_at_vectors(j, pts)
+        assert np.max(np.abs(table[j] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("j", [150, 200, 320])
+def test_c_table_high_rank_vs_mpmath(j):
+    v = np.array([0.3, -0.4, 0.5, 0.7])
+    comps = c_table(j, v[None])[j][:, 0]
+    for lam, alpha in ((0, 0), (j // 2, 3), (j // 2, -(j // 2)),
+                       (j - 1, j - 3), (j, j)):
+        ref = _c_mp(j, lam, alpha, v)
+        assert abs(comps[c_flat_index(lam, alpha)] - ref) <= 1e-11 * abs(ref)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_orthogonality_report_rejects_bad_tol(tol):
+    grid = build_grid(4, 4, 9)
+    with pytest.raises(ValueError, match="tol"):
+        orthogonality_report(1, grid, tol=tol)
+    checks, _ = orthogonality_report(1, grid, tol=1e-9)
+    assert all(c["tol"] == 1e-9 for c in checks)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_expansion_checks_reject_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        expansion_checks(tol, 0)
+
+
+def test_expansion_checks_report_their_floor():
+    checks = expansion_checks(1e-14, 0)
+    assert all(c["tol"] == 1e-8 for c in checks)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_coupling_checks_reject_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        coupling_checks(tol, 0)
+    checks = coupling_checks(1e-14, 0)
+    assert all(c["tol"] == 1e-12 for c in checks)
