@@ -133,7 +133,7 @@ def test_non_finite_direction_rejected(v):
         hsh_h(1, 1, -1, v)
 
 
-@pytest.mark.parametrize("func", [c_components, h_components])
+@pytest.mark.parametrize("func", [c_components, h_components, c_table])
 def test_negative_rank_components_rejected(func):
     v = np.array([0.1, 0.2, 0.9, 0.4])
     with pytest.raises(ValueError, match="rank"):
@@ -196,11 +196,6 @@ def test_c_table_ranks_are_c_components():
 def test_c_table_rejects_bad_points(points):
     with pytest.raises(ValueError):
         c_table(2, points)
-
-
-def test_c_table_rejects_negative_rank():
-    with pytest.raises(ValueError, match="rank"):
-        c_table(-1, [[0.0, 0.0, 0.0, 1.0]])
 
 
 def test_scalar_product_c_is_gegenbauer_to_rank_40():
