@@ -2,14 +2,15 @@
 
 Evaluates both the parabolic-type H harmonics (labelled by half-integer
 projections mu, nu, carried as doubled integers) and the spherical-type C
-harmonics (labelled by lambda, alpha), and shows the unitary change of
-basis between them.
+harmonics (labelled by lambda, alpha), and shows the orthogonal change of
+basis between them, through which the H harmonics are read from the C
+harmonics.
 """
 
 import numpy as np
 
-from hsh4 import (c_components, c_from_h, cos4, h_components, h_to_c_matrix,
-                  hsh_c, hsh_h, scalar_product_c, to_hyperangles)
+from hsh4 import (c_components, cos4, h_components, h_to_c_matrix, hsh_c,
+                  hsh_h, scalar_product_c, to_hyperangles)
 
 rng = np.random.default_rng(0)
 v = rng.normal(size=4)
@@ -32,12 +33,14 @@ h3 = h_components(3, v)
 print("\nrank-3 C components, |.|^2 sums to (j+1):",
       float(np.vdot(c3, c3).real))
 
-# The families are related by a real orthogonal matrix per rank.
+# The families are related by a real orthogonal matrix per rank; H = T^T C.
 T = h_to_c_matrix(3)
 print("transform is orthogonal:",
       np.allclose(T @ T.T, np.eye(16)))
-print("c_from_h matches direct C evaluation:",
-      np.allclose(c_from_h(3, h3), c3))
+# Rank j of H is the SU(2) rotation matrix U^{j/2}, so it is unitary.
+U3 = h3.reshape(4, 4)
+print("rank-3 H matrix is unitary:",
+      np.allclose(U3 @ U3.conj().T, np.eye(4)))
 
 # Addition theorem: the rank-j scalar product of two points is the
 # Chebyshev kernel sin((j+1) gamma)/sin(gamma) of their 4D angle.

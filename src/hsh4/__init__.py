@@ -6,9 +6,8 @@ checks it lives in ``hsh4.verify``, the one module that loads scipy.
 """
 
 from .special import (SeriesControl, DEFAULT_SERIES, ConvergenceError,
-                      gegenbauer, hyp0f1, hyp2f1, pochhammer)
-from .angular import (cgc3, wigner6j, wigner9j, gen_character, mod_sph_harm,
-                      rotation_u)
+                      hyp0f1, hyp2f1, pochhammer)
+from .angular import cgc3, wigner6j, wigner9j, gen_character, mod_sph_harm
 from .harmonics import (HyperAngles, to_hyperangles, from_hyperangles,
                         hyp_components, hsh_h, hsh_c, hsh_y, h_components,
                         c_components, c_table, h_flat_index, c_flat_index,

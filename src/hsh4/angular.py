@@ -1,9 +1,8 @@
 """Three-dimensional angular-momentum kernel.
 
 Clebsch-Gordan coefficients, 6j and 9j symbols in Racah log-factorial
-arithmetic (scalar, and in array form for whole bipolar plans), axis-angle
-rotation matrix elements, generalised characters of the rotation group and
-modified spherical harmonics.
+arithmetic (scalar, and in array form for whole bipolar plans), generalised
+characters of the rotation group and modified spherical harmonics.
 
 All angular momenta and projections are passed as doubled integers (2j,
 2m), so half-integer values stay exact.  Phases follow Condon-Shortley.
@@ -23,7 +22,6 @@ __all__ = [
     "wigner9j",
     "gen_character",
     "mod_sph_harm",
-    "rotation_u",
 ]
 
 
@@ -371,30 +369,3 @@ def mod_sph_harm(lam, alpha, theta, phi):
     if alpha < 0:
         value = (-1.0) ** a * np.conj(value)
     return complex(value) if value.ndim == 0 else value
-
-
-def rotation_u(tl, tmu, tnu, omega, theta, phi):
-    """Axis-angle rotation matrix element U^l_{mu nu}(omega, theta, phi).
-
-    Expanded over generalised characters,
-
-      U^l_{mu nu} = sum_lam (-i)^lam (2 lam+1)/(2l+1) C^{l nu}_{l mu, lam alf}
-                    chi^l_lam(omega) C_{lam alf}(theta, phi),
-
-    with alf = nu - mu.  For l = 1/2 this is the familiar
-    cos(w/2) I - i sin(w/2) (n . sigma) with axis n(theta, phi), and the
-    rank-1 elements reproduce the hyperspherical components of a 4-vector.
-    """
-    validate_jm(tl, tmu)
-    validate_jm(tl, tnu)
-    talpha = tnu - tmu
-    alpha = talpha // 2
-    total = 0.0 + 0.0j
-    for lam in range(abs(alpha), tl + 1):
-        coef = cgc3(tl, tmu, 2 * lam, talpha, tl, tnu)
-        if coef == 0.0:
-            continue
-        total += ((-1j) ** lam * (2.0 * lam + 1.0) / (tl + 1.0) * coef
-                  * gen_character(tl, lam, omega)
-                  * mod_sph_harm(lam, alpha, theta, phi))
-    return total

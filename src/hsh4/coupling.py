@@ -17,7 +17,7 @@ import numpy as np
 from .angular import (_cgc3_array, _wigner9j_array, cgc3, wigner6j,
                       wigner9j)
 from .harmonics import (c_components, c_flat_index, h_components,
-                        h_flat_index, hsh_h)
+                        h_flat_index)
 from .special import log_factorial
 
 __all__ = [
@@ -297,6 +297,7 @@ def linearize_product(family, j1, idx1, j2, idx2, v):
         raise ValueError(f"family must be 'h' or 'c', got {family!r}")
     terms = []
     for j in range(abs(j1 - j2), j1 + j2 + 1, 2):
+        comps = (h_components if family == "h" else c_components)(j, v)
         if family == "h":
             tmu = idx1[0] + idx2[0]
             tnu = idx1[1] + idx2[1]
@@ -305,10 +306,10 @@ def linearize_product(family, j1, idx1, j2, idx2, v):
             c = cgc4_h(j1, idx1[0], idx1[1], j2, idx2[0], idx2[1],
                        j, tmu, tnu)
             if c != 0.0:
-                terms.append((j, (tmu, tnu), c, hsh_h(j, tmu, tnu, v)))
+                terms.append((j, (tmu, tnu), c,
+                              complex(comps[h_flat_index(j, tmu, tnu)])))
         else:
             alf = idx1[1] + idx2[1]
-            comps = c_components(j, v)
             for lam in range(abs(alf), j + 1):
                 c = cgc4_c(j1, idx1[0], idx1[1], j2, idx2[0], idx2[1],
                            j, lam, alf)

@@ -1,8 +1,10 @@
 """Four-dimensional geometry and hyperspherical harmonics.
 
 Coordinates on R^4, hyperspherical components of a 4-vector, the
-parabolic-type (H) and spherical-type (C) harmonic families, the unitary
+parabolic-type (H) and spherical-type (C) harmonic families, the orthogonal
 basis change between them, scalar products and unit-normalised harmonics.
+The C family is evaluated directly; the H family is read from it through
+the basis change.
 
 A 4-vector is any length-4 sequence (x, y, z, z0).  Harmonic component
 arrays are indexed row-major: H_j over ((2 mu + j)/2, (2 nu + j)/2) and
@@ -15,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import _legendre_rows, cgc3, rotation_u, validate_jm
+from .angular import _cgc3_array, _legendre_rows, validate_jm
 
 __all__ = [
     "HyperAngles",
@@ -47,11 +49,24 @@ class HyperAngles:
     phi: float
 
 
+def _points(points):
+    """points as an (N, 4) float array; ValueError for any other shape or
+    for non-finite components."""
+    v = np.asarray(points, dtype=float)
+    if v.ndim != 2 or v.shape[1] != 4:
+        raise ValueError(f"expected an (N, 4) array of 4-vectors, got shape "
+                         f"{v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError("4-vectors with non-finite components have no "
+                         "direction")
+    return v
+
+
 def _point(v):
     v = np.asarray(v, dtype=float)
     if v.shape != (4,):
         raise ValueError(f"expected a 4-vector, got shape {v.shape}")
-    return v
+    return _points(v[None])[0]
 
 
 def _hyperangles(points):
@@ -62,13 +77,7 @@ def _hyperangles(points):
     overflow.  Non-finite components raise ValueError; a zero vector has
     all-zero angles.
     """
-    v = np.asarray(points, dtype=float)
-    if v.ndim != 2 or v.shape[1] != 4:
-        raise ValueError(f"expected an (N, 4) array of 4-vectors, got shape "
-                         f"{v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError("4-vectors with non-finite components have no "
-                         "direction")
+    v = _points(points)
     scale = np.max(np.abs(v), axis=1)
     x, y, z, z0 = (v / np.where(scale > 0.0, scale, 1.0)[:, None]).T
     rho_xy = np.hypot(x, y)
@@ -103,9 +112,10 @@ def hyp_components(v):
 
     Rows/columns are ordered mu, nu = -1/2, +1/2.  The components satisfy
     r*_{mu nu} = (-1)^(mu-nu) r_{-mu,-nu} and reproduce r^2 under the
-    invariant bilinear form.
+    invariant bilinear form.  v must be a finite 4-vector (ValueError
+    otherwise).
     """
-    x, y, z, z0 = (float(c) for c in v)
+    x, y, z, z0 = _point(v)
     s = 1.0 / math.sqrt(2.0)
     return np.array([
         [s * (z0 + 1j * z), -1j * s * (x + 1j * y)],
@@ -113,19 +123,15 @@ def hyp_components(v):
     ])
 
 
-def _direction(v):
-    h = to_hyperangles(v)
-    if h.r == 0.0:
-        raise ValueError("zero vector has no direction")
-    return h
-
-
 def hsh_h(j, tmu, tnu, v):
-    """Parabolic-type harmonic H_{j, mu, nu}(v-hat) = U^{j/2}_{mu nu}(2 theta0, theta, phi)."""
+    """Parabolic-type harmonic H_{j, mu, nu}(v-hat) = U^{j/2}_{mu nu}(2 theta0, theta, phi).
+
+    U^{j/2} is the SU(2) rotation matrix of angle 2 theta0 about the axis
+    (theta, phi); one entry of h_components.
+    """
     validate_jm(j, tmu)
     validate_jm(j, tnu)
-    h = _direction(v)
-    return rotation_u(j, tmu, tnu, 2.0 * h.theta0, h.theta, h.phi)
+    return complex(h_components(j, v)[h_flat_index(j, tmu, tnu)])
 
 
 def hsh_c(j, lam, alpha, v):
@@ -159,16 +165,6 @@ def c_flat_index(lam, alpha):
 def _check_rank(j):
     if j < 0:
         raise ValueError(f"rank j must be nonnegative, got {j}")
-
-
-def h_components(j, v):
-    """All (j+1)^2 H-harmonic values at v-hat, flat row-major over (mu, nu)."""
-    _check_rank(j)
-    out = np.empty((j + 1) ** 2, dtype=complex)
-    for tmu in range(-j, j + 1, 2):
-        for tnu in range(-j, j + 1, 2):
-            out[h_flat_index(j, tmu, tnu)] = hsh_h(j, tmu, tnu, v)
-    return out
 
 
 _I_POWERS = np.array([1.0, 1j, -1.0, -1j])
@@ -237,53 +233,100 @@ def c_components(j, v):
     return _c_rank(j, _point(v)[None])[:, 0]
 
 
-@lru_cache(maxsize=None)
+def h_components(j, v):
+    """All (j+1)^2 H-harmonic values at v-hat, flat row-major over (mu, nu).
+
+    Read from c_components through the basis change: H = T^T C.
+    """
+    return h_from_c(j, c_components(j, v))
+
+
+@lru_cache(maxsize=64)
+def _h_to_c_entries(j):
+    """The nonzeros of T = h_to_c_matrix(j) in two padded gather layouts.
+
+    Returns (col, w_row, row, w_col), each ((j+1)^2, j+1):
+    C[r] = sum_k w_row[r, k] H[col[r, k]] and H[c] = sum_k w_col[c, k]
+    C[row[c, k]].  A row (lam, alf) of T meets the columns (mu, mu + alf),
+    one per mu, and a column (mu, nu) meets the rows (lam, nu - mu), one per
+    lam; slots past an entry's own range hold weight 0.  Every coefficient
+    comes from one _cgc3_array call.  Held read-only.
+    """
+    _check_rank(j)
+    lam, alpha = _c_labels(j)[:2]
+    k = np.arange(j + 1)
+    tmu, tlam, talpha = np.broadcast_arrays(2 * k - j, 2 * lam[:, None],
+                                            2 * alpha[:, None])
+    tnu = tmu + talpha
+    live = np.abs(tnu) <= j
+    w_row = np.zeros(live.shape)
+    w_row[live] = _cgc3_array(j, tmu[live], tlam[live], talpha[live], j,
+                              tnu[live])
+    w_row *= np.sqrt((2.0 * lam + 1.0) / (j + 1.0))[:, None]
+    col = np.where(live, h_flat_index(j, tmu, tnu), 0)
+    # Column (mu, nu) = (a, b) on the (j+1) x (j+1) grid has alf = b - a and
+    # meets row lam^2 + lam + alf, slot a, of the layout above.
+    a, b = np.divmod(np.arange((j + 1) ** 2), j + 1)
+    alf = (b - a)[:, None]
+    ok = k >= np.abs(alf)
+    row = np.where(ok, c_flat_index(k, alf), 0)
+    w_col = np.where(ok, w_row[row, a[:, None]], 0.0)
+    out = (col, w_row, row, w_col)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+def _gather(j, index, weight, values):
+    """sum_k weight[:, k] values[index[:, k]], over any trailing axes of values."""
+    values = np.asarray(values)
+    if values.ndim == 0 or values.shape[0] != (j + 1) ** 2:
+        raise ValueError(f"rank {j} component arrays have leading length "
+                         f"{(j + 1) ** 2}, got shape {values.shape}")
+    w = weight.reshape(weight.shape + (1,) * (values.ndim - 1))
+    return (w * values[index]).sum(axis=1)
+
+
 def h_to_c_matrix(j):
-    """Unitary map T with C = T H over the flat component orderings.
+    """Orthogonal map T with C = T H over the flat component orderings.
 
     C_{j,lam,alf} = sqrt((2 lam+1)/(j+1))
                     sum_{mu nu} C^{(j/2) nu}_{(j/2) mu, lam alf} H_{j, mu, nu},
     with alf = nu - mu fixed by the CGC selection rule: (j/2, mu) couples
-    with (lam, alf) to (j/2, nu).  Under this reading C = T H agrees with
-    hsh_c's direct evaluation at every direction (test_harmonics.py checks
-    it); the transposed reading does not.
+    with (lam, alf) to (j/2, nu).  The package defines H from C by this map,
+    H = T^T C.  Returned dense, built from the entries c_from_h and h_from_c
+    read.
     """
+    col, w_row = _h_to_c_entries(j)[:2]
     n = (j + 1) ** 2
     t = np.zeros((n, n))
-    for lam in range(j + 1):
-        pre = math.sqrt((2.0 * lam + 1.0) / (j + 1.0))
-        for alpha in range(-lam, lam + 1):
-            row = c_flat_index(lam, alpha)
-            for tmu in range(-j, j + 1, 2):
-                tnu = tmu + 2 * alpha
-                if abs(tnu) > j:
-                    continue
-                t[row, h_flat_index(j, tmu, tnu)] = pre * cgc3(
-                    j, tmu, 2 * lam, 2 * alpha, j, tnu)
+    # Padded slots add weight 0.
+    np.add.at(t, (np.arange(n)[:, None], col), w_row)
     return t
 
 
 def c_from_h(j, h_values):
-    """C-component array from the H-component array of the same direction."""
-    return h_to_c_matrix(j) @ np.asarray(h_values)
+    """C-component array from the H-component array of the same direction.
+
+    h_values may carry trailing axes; its leading length must be (j+1)^2.
+    """
+    col, w_row = _h_to_c_entries(j)[:2]
+    return _gather(j, col, w_row, h_values)
 
 
 def h_from_c(j, c_values):
     """H-component array from the C-component array (inverse of c_from_h)."""
-    return h_to_c_matrix(j).T @ np.asarray(c_values)
+    row, w_col = _h_to_c_entries(j)[2:]
+    return _gather(j, row, w_col, c_values)
 
 
 def scalar_product_h(j, a, b):
     """(H_j(a-hat) . H_j(b-hat)) = sum (-1)^(mu-nu) H_{j mu nu}(a) H_{j,-mu,-nu}(b)."""
-    ha = h_components(j, a)
-    hb = h_components(j, b)
-    total = 0.0 + 0.0j
-    for tmu in range(-j, j + 1, 2):
-        for tnu in range(-j, j + 1, 2):
-            total += ((-1.0) ** ((tmu - tnu) // 2)
-                      * ha[h_flat_index(j, tmu, tnu)]
-                      * hb[h_flat_index(j, -tmu, -tnu)])
-    return float(total.real)
+    ha, hb = h_from_c(j, _c_rank(j, np.stack([_point(a), _point(b)]))).T
+    # (-mu, -nu) sits at the reversed flat index.
+    row, col = np.divmod(np.arange((j + 1) ** 2), j + 1)
+    sign = 1.0 - 2.0 * ((row + col) % 2)
+    return float(np.sum(sign * ha * hb[::-1]).real)
 
 
 def scalar_product_c(j, a, b):
@@ -299,11 +342,14 @@ def scalar_product_c(j, a, b):
 
 
 def cos4(a, b):
-    """Cosine of the 4D angle between two nonzero 4-vectors."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
+    """Cosine of the 4D angle between two nonzero finite 4-vectors.
+
+    Each vector is divided by its largest |component| first, so no product
+    overflows.
+    """
+    a, b = _point(a), _point(b)
+    sa, sb = np.max(np.abs(a)), np.max(np.abs(b))
+    if sa == 0.0 or sb == 0.0:
         raise ValueError("zero vector has no direction")
-    return float(np.dot(a, b) / (na * nb))
+    a, b = a / sa, b / sb
+    return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))

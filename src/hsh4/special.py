@@ -1,8 +1,8 @@
 """Scalar special functions used throughout the package.
 
-Factorial ladders, Pochhammer symbols, Gegenbauer polynomials and the
-hypergeometric series 0F1 / 2F1.  Everything here is pure and reentrant;
-the log-factorial table is filled once at import time.
+Factorial ladders, Pochhammer symbols and the hypergeometric series
+0F1 / 2F1.  Everything here is pure and reentrant; the log-factorial
+table is filled once at import time.
 """
 
 import math
@@ -14,7 +14,6 @@ __all__ = [
     "ConvergenceError",
     "log_factorial",
     "pochhammer",
-    "gegenbauer",
     "hyp2f1",
     "hyp0f1",
 ]
@@ -68,25 +67,6 @@ def pochhammer(a, k):
     for i in range(k):
         result *= a + i
     return result
-
-
-def gegenbauer(alpha, n, x):
-    """Gegenbauer polynomial C^alpha_n(x) by the ascending recurrence.
-
-    n C^a_n = 2 (n + a - 1) x C^a_{n-1} - (n + 2a - 2) C^a_{n-2},
-    seeded with C^a_0 = 1, C^a_1 = 2 a x.  Works elementwise when x is a
-    numpy array.
-    """
-    if n < 0:
-        raise ValueError(f"gegenbauer: n must be >= 0, got {n}")
-    if n == 0:
-        return 1.0 + 0.0 * x
-    prev = 1.0 + 0.0 * x
-    cur = 2.0 * alpha * x
-    for m in range(2, n + 1):
-        prev, cur = cur, (2.0 * (m + alpha - 1.0) * x * cur
-                          - (m + 2.0 * alpha - 2.0) * prev) / m
-    return cur
 
 
 def _nonpositive_int(a):

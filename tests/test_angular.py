@@ -1,4 +1,5 @@
-"""Tests for 3D angular-momentum algebra and the axis-angle rotation matrix.
+"""Tests for 3D angular-momentum algebra, generalised characters and
+modified spherical harmonics.
 
 All quantum numbers are passed doubled (2j, 2m) so half-integer cases stay
 exact; sympy's wigner module serves as the independent oracle.
@@ -13,8 +14,8 @@ from sympy.physics.quantum.cg import CG
 from sympy.physics.wigner import wigner_6j, wigner_9j
 
 from hsh4.angular import (_cgc3_array, _wigner6j_array, _wigner9j_array,
-                          cgc3, gen_character, mod_sph_harm, rotation_u,
-                          wigner6j, wigner9j)
+                          cgc3, gen_character, mod_sph_harm, wigner6j,
+                          wigner9j)
 from hsh4.harmonics import hsh_c
 
 
@@ -223,51 +224,3 @@ def test_array_racah_sums_selection_rules_and_shapes():
     # a stretched coupling reads log factorials past special's table
     assert _cgc3_array(300, 300, 2, 0, 302, 300) == pytest.approx(
         cgc3(300, 300, 2, 0, 302, 300), rel=1e-13)
-
-
-def test_rotation_u_identity_and_unitarity():
-    rng = _rng()
-    for tl in (1, 2, 3):
-        dim = tl + 1
-        # omega -> 0 gives the unit matrix
-        U0 = np.array([[rotation_u(tl, tm, tn, 1e-12, 0.3, 0.8)
-                        for tn in range(-tl, tl + 1, 2)]
-                       for tm in range(-tl, tl + 1, 2)])
-        np.testing.assert_allclose(U0, np.eye(dim), atol=1e-10)
-        w, t, p = rng.uniform(0.3, 2.8), rng.uniform(0.1, 3.0), rng.uniform(0, 6)
-        U = np.array([[rotation_u(tl, tm, tn, w, t, p)
-                       for tn in range(-tl, tl + 1, 2)]
-                      for tm in range(-tl, tl + 1, 2)])
-        np.testing.assert_allclose(U @ U.conj().T, np.eye(dim), atol=1e-13)
-        # the trace is the ordinary character of the rotation angle
-        np.testing.assert_allclose(np.trace(U),
-                                   gen_character(tl, 0, w), atol=1e-13)
-
-
-def test_rotation_u_group_property():
-    # two rotations about the same axis compose by adding angles
-    t, p = 1.1, 2.3
-    for tl in (1, 2):
-        def mat(w):
-            return np.array([[rotation_u(tl, tm, tn, w, t, p)
-                              for tn in range(-tl, tl + 1, 2)]
-                             for tm in range(-tl, tl + 1, 2)])
-        np.testing.assert_allclose(mat(0.7) @ mat(0.9), mat(1.6), atol=1e-13)
-
-
-def test_rotation_u_spin_half_explicit():
-    # 2x2 block: U = cos(w/2) I - i sin(w/2) (n . sigma)
-    w, t, p = 0.9, 0.6, 1.7
-    n = np.array([math.sin(t) * math.cos(p), math.sin(t) * math.sin(p),
-                  math.cos(t)])
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]])
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    ref = (math.cos(w / 2) * np.eye(2)
-           - 1j * math.sin(w / 2) * (n[0] * sx + n[1] * sy + n[2] * sz))
-    # row/col order is mu, nu = -1/2, +1/2; sigma_z acts with +1 on the
-    # +1/2 state, so flip to match
-    flip = np.array([[0, 1], [1, 0]])
-    U = np.array([[rotation_u(1, tm, tn, w, t, p)
-                   for tn in (-1, 1)] for tm in (-1, 1)])
-    np.testing.assert_allclose(flip @ ref @ flip, U, atol=1e-14)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from hsh4.angular import _legendre_rows
 from hsh4.special import (ConvergenceError, DEFAULT_SERIES, SeriesControl,
-                          gegenbauer, hyp0f1, hyp2f1, log_factorial,
-                          pochhammer)
+                          hyp0f1, hyp2f1, log_factorial, pochhammer)
 
 
 def test_series_control_validation():
@@ -46,15 +46,19 @@ def test_pochhammer_exact_zero():
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5, 4.0])
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 12])
 def test_gegenbauer_vs_scipy(alpha, n):
+    # The package's one Gegenbauer recurrence is the normalised Legendre row
+    # of angular._legendre_rows: with alpha = m + shift + 1/2, row n + m of
+    # order m is (-1)^m 2^m Gamma(alpha)/Gamma(shift + 1/2)
+    # sqrt(n!/Gamma(n + 2 alpha)) sin^m C^alpha_n(cos).
+    m = int(alpha - 0.5)
+    shift = alpha - 0.5 - m
     x = np.linspace(-1.0, 1.0, 11)
-    ref = sp.eval_gegenbauer(n, alpha, x)
-    np.testing.assert_allclose(gegenbauer(alpha, n, x), ref,
-                               rtol=1e-12, atol=1e-12)
-
-
-def test_gegenbauer_scalar_input():
-    assert gegenbauer(1.0, 3, 0.3) == pytest.approx(
-        sp.eval_gegenbauer(3, 1.0, 0.3), rel=1e-13)
+    s = np.sqrt(1.0 - x * x)
+    rows = _legendre_rows(n + m, range(m, m + 1), x, s, shift=shift)
+    pre = ((-1) ** m * 2 ** m * math.gamma(alpha) / math.gamma(shift + 0.5)
+           * math.sqrt(math.gamma(n + 1) / math.gamma(n + 2 * alpha)))
+    ref = pre * s ** m * sp.eval_gegenbauer(n, alpha, x)
+    np.testing.assert_allclose(rows[n + m, 0], ref, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("a,b,c,z", [

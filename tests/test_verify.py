@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from hsh4 import verify
-from hsh4.harmonics import (c_components, c_flat_index, c_table, cos4,
-                            h_to_c_matrix)
+from hsh4.harmonics import (_h_to_c_entries, c_components, c_flat_index,
+                            c_table, cos4)
 from hsh4.multipole import ExpansionSpec, b_coeff
 from hsh4.verify import (build_grid, c_harmonics_at_vectors,
                          coupling_checks, expansion_checks,
@@ -115,7 +115,7 @@ def test_orthogonality_report_derives_h_from_one_c_gram(monkeypatch):
     monkeypatch.setattr(verify, "gram_matrix", counting)
     orthogonality_report(3, g)
     assert len(calls) == 1
-    assert h_to_c_matrix.cache_info().currsize >= 4
+    assert _h_to_c_entries.cache_info().currsize >= 4
 
 
 def test_grid_convergence():
