@@ -6,6 +6,11 @@ spherical-harmonic routines, and expansion coefficients are recovered by
 projection integrals rather than hypergeometric series.  Agreement between
 the two routes is the package's primary self-check.
 
+A C harmonic is a radial factor of theta0 (one broadcast eval_gegenbauer
+call over (j, lam)) times an angular factor (one sph_harm_y call over
+(lam, alpha)); on the product grids the Gram separates into a theta0 Gram
+of the radial factors times a (theta, phi) Gram of the angular ones.
+
 The suites behind ``hsh4 verify`` live here as well.  The orthogonality
 suite integrates the scipy route; the coupling and expansion suites instead
 cross-check analytic closed forms against each other (CGC orthogonality and
@@ -15,11 +20,13 @@ appendix cases, multipole tables against the translated kernel itself).
 import math
 
 import numpy as np
-from scipy.special import eval_chebyu, eval_gegenbauer, sph_harm_y
+from scipy.special import (eval_chebyu, eval_gegenbauer, eval_legendre,
+                           gammaln, sph_harm_y)
 
 from .coupling import bipolar_plan, cgc4_c, cgc4_c_closed
 from .harmonics import c_components, c_flat_index, h_to_c_matrix
-from .multipole import ExpansionSpec, eval_expansion, expand_translated
+from .multipole import (ExpansionSpec, _integer, eval_expansion,
+                        expand_translated)
 
 __all__ = [
     "QuadratureGrid", "build_grid", "gram_matrix", "orthogonality_report",
@@ -93,53 +100,45 @@ def build_grid(n0, n1, n2):
     return QuadratureGrid(theta0, w0, theta, w1, phi, w2, exact_degree)
 
 
-def _chi(j, lam, theta0):
-    """Generalised character chi^{j/2}_lam(2 theta0) via scipy Gegenbauer."""
-    # ln (2 lam)!! = lam ln 2 + ln lam! rides in the exponent with the
-    # factorial ratio; the double factorial alone overflows from lam ~ 151.
-    norm = math.sqrt(j + 1.0) * math.exp(
-        lam * math.log(2.0) + math.lgamma(lam + 1)
-        + 0.5 * (math.lgamma(j - lam + 1) - math.lgamma(j + lam + 2)))
-    return (norm * np.sin(theta0) ** lam
-            * eval_gegenbauer(j - lam, lam + 1, np.cos(theta0)))
+def _radial(j, lam, theta0):
+    """(-i)^lam sqrt((2 lam+1)/(j+1)) chi^{j/2}_lam(2 theta0), lam <= j.
+
+    Broadcast over integer arrays j and lam and the array theta0.  The norm
+    of chi, 2^lam lam! sqrt((j+1) (j-lam)!/(j+lam+1)!), rides in one gammaln
+    exponent with the prefactor: (2 lam)!! alone overflows from lam ~ 151.
+    """
+    log_norm = (lam * math.log(2.0) + gammaln(lam + 1.0) + 0.5 * (
+        np.log(2.0 * lam + 1.0) + gammaln(j - lam + 1.0)
+        - gammaln(j + lam + 2.0)))
+    # (-i)^lam is read off lam mod 4, so it is exact.
+    return (np.array([1.0, -1j, -1.0, 1j])[lam % 4] * np.exp(log_norm)
+            * np.sin(theta0) ** lam
+            * eval_gegenbauer(j - lam, lam + 1.0, np.cos(theta0)))
 
 
-def _c_radial(j, lam, theta0):
-    """(-i)^lam sqrt((2 lam+1)/(j+1)) chi^{j/2}_lam(2 theta0), scipy route."""
-    return ((-1j) ** lam * math.sqrt((2 * lam + 1.0) / (j + 1.0))
-            * _chi(j, lam, theta0))
+def _angular(lam_max, theta, phi):
+    """Column lam and rows sqrt(4 pi/(2 lam+1)) Y_{lam alpha}(theta, phi).
 
-
-def _c_angular(lam, alpha, theta, phi):
-    """sqrt(4 pi/(2 lam+1)) Y_{lam alpha}(theta, phi), scipy route."""
-    return (math.sqrt(4.0 * np.pi / (2 * lam + 1))
-            * sph_harm_y(lam, alpha, theta, phi))
+    Row lam^2 + lam + alpha holds (lam, alpha), lam <= lam_max.
+    """
+    k = np.arange((lam_max + 1) ** 2)[:, None]
+    lam = np.sqrt(k).astype(np.intp)
+    return lam, (np.sqrt(4.0 * np.pi / (2 * lam + 1))
+                 * sph_harm_y(lam, k - lam * (lam + 1), theta, phi))
 
 
 def c_harmonics_at_vectors(j, vecs):
-    """C-family values at an (N, 4) array of 4-vectors (any nonzero length)."""
+    """C-family values at an (N, 4) array of nonzero, finite 4-vectors."""
     vecs = np.asarray(vecs, dtype=float)
-    r = np.linalg.norm(vecs, axis=-1)
-    z0 = np.clip(vecs[..., 3] / r, -1.0, 1.0)
-    theta0 = np.arccos(z0)
-    rho = np.linalg.norm(vecs[..., :3], axis=-1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ct = np.where(rho > 0, vecs[..., 2] / np.where(rho > 0, rho, 1.0), 1.0)
-    theta = np.arccos(np.clip(ct, -1.0, 1.0))
-    phi = np.arctan2(vecs[..., 1], vecs[..., 0])
-    out = np.empty(((j + 1) ** 2,) + theta0.shape, dtype=complex)
-    for lam in range(j + 1):
-        radial = _c_radial(j, lam, theta0)
-        for alpha in range(-lam, lam + 1):
-            out[c_flat_index(lam, alpha)] = (
-                radial * _c_angular(lam, alpha, theta, phi))
-    return out
-
-
-def _zonal_harmonics(j, lam_max, theta0, theta):
-    """Rows C_{j,lam,0}, lam <= lam_max, at arrays of theta0 and theta."""
-    return np.array([_c_radial(j, lam, theta0) * _c_angular(lam, 0, theta, 0.0)
-                     for lam in range(lam_max + 1)])
+    if not (np.isfinite(vecs).all() and np.any(vecs, axis=-1).all()):
+        raise ValueError("zero or non-finite vector has no direction")
+    x, y, z, z0 = np.moveaxis(vecs, -1, 0)
+    rho_xy = np.hypot(x, y)
+    theta0 = np.arctan2(np.hypot(rho_xy, z), z0)
+    lam, ang = _angular(j, np.arctan2(rho_xy, z).ravel(),
+                        np.arctan2(y, x).ravel())
+    radial = _radial(j, np.arange(j + 1)[:, None], theta0.ravel())
+    return (radial[lam[:, 0]] * ang).reshape((-1,) + theta0.shape)
 
 
 def _h_blockdiag_transform(G, j_max):
@@ -156,33 +155,20 @@ def _h_blockdiag_transform(G, j_max):
 def gram_matrix(j_max, grid):
     """Pairwise overlap integrals of all C harmonics with j <= j_max.
 
-    The Gram accumulates one theta0 slice at a time so the full value
-    matrix is never materialised.
+    On the product grid, C_{j lam alpha} = R_{j lam}(theta0) A_{lam alpha}
+    (theta, phi) separates the sum exactly: G = Rg[(j, lam), (j', lam')]
+    Ag[(lam, alpha), (lam', alpha')], with Rg the theta0 sum of w0 R conj(R)
+    and Ag the (theta, phi) sum of w1 w2 A conj(A).
     """
-    n0, n1, n2 = grid.shape
-    dim = sum((j + 1) ** 2 for j in range(j_max + 1))
+    ranks = np.arange(j_max + 1)
+    j = np.repeat(ranks, (ranks + 1) ** 2)
+    # Rank j's rows start after sum_{r<j} (r+1)^2 = j (j+1) (2j+1)/6 others.
+    k = np.arange(len(j)) - j * (j + 1) * (2 * j + 1) // 6
     t, p = np.meshgrid(grid.theta, grid.phi, indexing="ij")
-    ang = np.empty(((j_max + 1) ** 2, n1 * n2), dtype=complex)
-    for lam in range(j_max + 1):
-        for alpha in range(-lam, lam + 1):
-            ang[c_flat_index(lam, alpha)] = (
-                _c_angular(lam, alpha, t, p).ravel())
-    wang = np.einsum("j,k->jk", grid.w1, grid.w2).ravel()
-    radial = np.empty((j_max + 1, j_max + 1, n0), dtype=complex)
-    for j in range(j_max + 1):
-        for lam in range(j + 1):
-            radial[j, lam] = _c_radial(j, lam, grid.theta0)
-    G = np.zeros((dim, dim), dtype=complex)
-    V = np.empty((dim, n1 * n2), dtype=complex)
-    for i in range(n0):
-        row = 0
-        for j in range(j_max + 1):
-            for lam in range(j + 1):
-                lo, hi = c_flat_index(lam, -lam), c_flat_index(lam, lam)
-                V[row + lo:row + hi + 1] = radial[j, lam, i] * ang[lo:hi + 1]
-            row += (j + 1) ** 2
-        G += grid.w0[i] * ((V * wang) @ V.conj().T)
-    return G
+    lam, A = _angular(j_max, t.ravel(), p.ravel())
+    R = _radial(j[:, None], lam[k], grid.theta0)
+    Ag = (A * np.outer(grid.w1, grid.w2).ravel()) @ A.conj().T
+    return ((R * grid.w0) @ R.conj().T) * Ag[np.ix_(k, k)]
 
 
 def _check_tol(tol):
@@ -266,9 +252,9 @@ def _project_one(n, j, r1, r2, l, lp, grid, seed):
     # x1 runs over meridian points p = (0, 0, sin theta0, cos theta0), the
     # poles of their 2-spheres, where only the alpha = 0 harmonics are
     # nonzero; with the (0, 0) output, alpha2 = 0 and lam2 = lam1 as well.
-    i1, i2, iout, coeff = bipolar_plan("c", l, lp, j)
-    lam1, lam2 = (np.sqrt(i).astype(np.intp) for i in (i1, i2))
-    sel = (iout == c_flat_index(0, 0)) & (i1 == c_flat_index(lam1, 0))
+    i1, _, iout, coeff = bipolar_plan("c", l, lp, j)
+    lam = np.sqrt(i1).astype(np.intp)
+    sel = (iout == c_flat_index(0, 0)) & (i1 == c_flat_index(lam, 0))
     if not sel.any():
         return 0.0
     # Integrated exactly over x2, the meridian integrand is a polynomial of
@@ -278,12 +264,13 @@ def _project_one(n, j, r1, r2, l, lp, grid, seed):
     fine = build_grid(*(2 * m for m in grid.shape))
     z, z0 = _random_so4(seed)[2:] @ fine.vectors().T
     t0 = np.arccos(np.clip(z0, -1.0, 1.0))
-    t = np.arccos(np.clip(z / np.sin(t0), -1.0, 1.0))
-    # b[i, k]: (0, 0) component of {C_l(p_i) (x) C_lp(x2_k)}_j.
-    lam_max = min(l, lp)
-    b = ((coeff[sel, None]
-          * _zonal_harmonics(l, lam_max, theta0, 0.0)[lam1[sel]]).T
-         @ _zonal_harmonics(lp, lam_max, t0, t)[lam2[sel]])
+    # b[i, k]: (0, 0) component of {C_l(p_i) (x) C_lp(x2_k)}_j, from the
+    # alpha = 0 rows alone: C_{lam 0}(theta, phi) = P_lam(cos theta), and
+    # theta = 0 at p_i.
+    lam = lam[sel, None]
+    b = ((coeff[sel, None] * _radial(l, lam, theta0)).T
+         @ (_radial(lp, lam, t0)
+            * eval_legendre(lam, np.clip(z / np.sin(t0), -1.0, 1.0))))
     f = _kernel_component(n, j, r1 * r1 + r2 * r2 + 2.0 * r1 * r2
                           * (s0 * z + c0 * z0), r1 * c0 + r2 * z0)
     # Node i stands for its whole (theta, phi) orbit, a constant factor
@@ -311,10 +298,18 @@ def project_multipole(n, j, r1, r2, l, lp, grid=None, seeds=(7, 19),
     max(1, |B|)) or a RuntimeError flags the grid as too coarse: for
     independent normal seed errors the mean misses by more than the spread
     in 30% of cases, and by more than ten spreads in 3%.
+
+    Negative or non-integer ranks raise ValueError; a pair outside the
+    triangle rule gives exactly 0.0.
     """
     if not all(math.isfinite(x) for x in (n, r1, r2)):
         raise ValueError(f"n, r1 and r2 must be finite, got "
                          f"{n!r}, {r1!r}, {r2!r}")
+    j, l, lp = (_integer(f"rank {name}", v)
+                for name, v in (("j", j), ("l", l), ("lp", lp)))
+    if min(j, l, lp) < 0:
+        raise ValueError(f"ranks j, l, lp must be nonnegative, got "
+                         f"{j}, {l}, {lp}")
     if r1 >= r2:
         raise ValueError("projection requires r1 < r2")
     if grid is None:

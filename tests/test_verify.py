@@ -70,6 +70,23 @@ def test_scipy_route_high_rank_vs_mpmath(j):
                     <= 1e-10 * abs(ref)
 
 
+@pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0, 0.0],
+                                 [math.nan, 0.0, 0.0, 1.0],
+                                 [0.0, math.inf, 0.0, 1.0]])
+def test_scipy_route_rejects_directionless_rows(bad):
+    pts = np.array([[0.3, -0.4, 0.5, 0.7], bad])
+    with pytest.raises(ValueError, match="direction"):
+        c_harmonics_at_vectors(1, pts)
+
+
+def test_gram_matches_unseparated_sum():
+    # the separated Gram against the plain sum of V w V^H over all nodes
+    g = build_grid(8, 8, 17)
+    V = np.vstack([c_harmonics_at_vectors(j, g.vectors()) for j in range(4)])
+    brute = (V * g.weights) @ V.conj().T
+    assert np.max(np.abs(verify.gram_matrix(3, g) - brute)) <= 1e-13
+
+
 def test_harmonic_norms():
     g = build_grid(14, 14, 29)
     vs = g.vectors()
@@ -184,6 +201,13 @@ def test_projection_inadmissible_pair_is_zero():
     g = build_grid(10, 10, 21)
     assert project_multipole(1, 1, 0.5, 1.0, 2, 0, grid=g,
                              agree_tol=1e-6) == 0.0
+
+
+@pytest.mark.parametrize("j,l,lp", [(-1, 0, 1), (1.5, 0, 1), (1, -1, 2),
+                                    (1, 1.5, 0.5)])
+def test_projection_rejects_invalid_ranks(j, l, lp):
+    with pytest.raises(ValueError, match="rank"):
+        project_multipole(1, j, 0.5, 1.0, l, lp, grid=build_grid(6, 6, 13))
 
 
 def test_projection_recovers_known_coefficients():
