@@ -5,12 +5,13 @@ Verbs:
   cgc     O(4) Clebsch-Gordan coefficient (with closed-form cross-check)
   ninej   4D 9j recoupling coefficient
   expand  multipole coefficient table B^{(n j)}_{l lp}
-  verify  run a named verification suite from hsh4.verify
+  verify  run a named verification suite
 
-Half-integer projections of the H family are passed as doubled integers;
-pass --doubled to interpret *all* quantum-number inputs as doubled (so
-``--j 3 --doubled`` means j = 3/2 worth of rank, i.e. the stored integer
-label 3).  Exit status: 0 on success/all checks passed, 1 on failed
+H-family projections mu, nu are plain integers that the CLI doubles; with
+--doubled they are doubled integers taken as given, so half-integer ones
+stay exact (``--j 1 --mu 1 --nu -1 --doubled`` is mu = 1/2, nu = -1/2).
+Ranks and C-family labels are never doubled: --doubled with --family c is
+a usage error.  Exit status: 0 on success/all checks passed, 1 on failed
 verification, 2 on usage errors and on computations that cannot be carried
 out (such as a series that does not converge).
 """
@@ -23,12 +24,12 @@ import sys
 
 import numpy as np
 
-from .coupling import cgc4_c, cgc4_c_closed, cgc4_h, ninej4
+from .coupling import _CLOSED_CASES, cgc4_c, cgc4_c_closed, cgc4_h, ninej4
 from .harmonics import hsh_c, hsh_h
-from .multipole import ExpansionSpec, expand_translated
+from .multipole import (ExpansionSpec, coupling_checks, expand_translated,
+                        expansion_checks)
 
-_CLOSED_CASES = ("stretched", "stretched_j1_zero_lambda", "diff",
-                 "six_j_reduction", "spin1")
+_DOUBLED_C = "--doubled applies to the H projections only, not --family c"
 
 
 def _fmt(x):
@@ -49,26 +50,19 @@ def _parse_point(text):
     return np.array(parts)
 
 
-def _halve(label, value):
-    if value % 2:
-        raise ValueError(f"--doubled value for {label} must be even here")
-    return value // 2
-
-
 def _cmd_eval(args):
     point = _parse_point(args.point)
     if args.family == "c":
+        if args.doubled:
+            raise ValueError(_DOUBLED_C)
         if args.lam is None or args.alpha is None:
             raise ValueError("family c needs --lambda and --alpha")
         j, lam, alf = args.j, args.lam, args.alpha
-        if args.doubled:
-            j, lam, alf = _halve("j", j), _halve("lambda", lam), _halve(
-                "alpha", alf)
         val = hsh_c(j, lam, alf, point)
         label = f"C[j={j},lam={lam},alpha={alf}]"
     else:
         if args.mu is None or args.nu is None:
-            raise ValueError("family h needs --mu and --nu (doubled integers)")
+            raise ValueError("family h needs --mu and --nu")
         j, tmu, tnu = args.j, args.mu, args.nu
         if not args.doubled:
             tmu, tnu = 2 * tmu, 2 * tnu
@@ -86,11 +80,11 @@ def _cmd_cgc(args):
     q = [int(t) for t in args.q.split(",")]
     if len(q) != 9:
         raise ValueError("--q needs nine comma-separated integers")
+    closed = None
     if args.family == "c":
         if args.doubled:
-            q = [_halve("q", t) for t in q]
+            raise ValueError(_DOUBLED_C)
         val = cgc4_c(*q)
-        closed = None
         for case in _CLOSED_CASES:
             try:
                 closed = (case, cgc4_c_closed(case, *q))
@@ -99,10 +93,9 @@ def _cmd_cgc(args):
                 continue
     else:
         if not args.doubled:
-            q = [2 * t for t in q]
-        # family h carries doubled labels throughout: j1,2mu1,2nu1,...
+            # Ranks j1, j2, j (every third value) stay as given.
+            q = [t if i % 3 == 0 else 2 * t for i, t in enumerate(q)]
         val = cgc4_h(*q)
-        closed = None
     payload = {"family": args.family, "q": q, "value": val}
     if closed is not None:
         payload["closed_form"] = {"case": closed[0], "value": closed[1],
@@ -140,20 +133,20 @@ def _cmd_expand(args):
 
 
 def _cmd_verify(args):
-    # Only this verb loads the scipy oracle; the other verbs never import it.
-    from . import verify as verify_mod
     tol = args.tol if args.tol is not None else default_tol()
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance (--tol or HSH4_TOL) must be finite and "
                          f"> 0, got {tol}")
     if args.suite == "orthogonality":
+        # Only this suite loads the scipy oracle; nothing else imports it.
+        from . import verify as verify_mod
         n0, n1, n2 = (int(t) for t in args.grid.split(","))
         grid = verify_mod.build_grid(n0, n1, n2)
         checks, _ = verify_mod.orthogonality_report(args.jmax, grid, tol=tol)
     elif args.suite == "expansion":
-        checks = verify_mod.expansion_checks(tol, args.seed)
+        checks = expansion_checks(tol, args.seed)
     else:
-        checks = verify_mod.coupling_checks(tol, args.seed)
+        checks = coupling_checks(tol, args.seed)
     print(json.dumps(checks, indent=2))
     return 0 if all(c["pass"] for c in checks) else 1
 
@@ -163,8 +156,9 @@ def build_parser():
         prog="hsh4",
         description="4D hyperspherical harmonics, O(4) coupling and "
                     "multipole expansions.",
-        epilog="With --doubled, quantum-number inputs are doubled integers "
-               "(2j, 2mu, ...), which keeps half-integer projections exact.")
+        epilog="With --doubled, the H projections are given as doubled "
+               "integers (2mu, 2nu), which keeps half-integer projections "
+               "exact; ranks and C labels are never doubled.")
     sub = p.add_subparsers(dest="verb", required=True)
 
     pe = sub.add_parser("eval", help="evaluate one harmonic at a point")
@@ -183,7 +177,7 @@ def build_parser():
     pc.add_argument("--family", choices=("c", "h"), required=True)
     pc.add_argument("--q", required=True,
                     help="c: j1,lam1,alf1,j2,lam2,alf2,j,lam,alf; "
-                         "h: j1,2mu1,2nu1,j2,2mu2,2nu2,j,2mu,2nu")
+                         "h: j1,mu1,nu1,j2,mu2,nu2,j,mu,nu")
     pc.add_argument("--doubled", action="store_true")
     pc.add_argument("--output", choices=("text", "json"), default="text")
     pc.set_defaults(func=_cmd_cgc)

@@ -102,6 +102,11 @@ def _require(cond, msg):
         raise ValueError(msg)
 
 
+# The cases of cgc4_c_closed, in the order the CLI tries them.
+_CLOSED_CASES = ("stretched", "stretched_j1_zero_lambda", "diff",
+                 "six_j_reduction", "spin1")
+
+
 def cgc4_c_closed(case, j1, lam1, alf1, j2, lam2, alf2, j, lam, alf):
     """Appendix closed forms for the C-type CGC.
 
@@ -113,6 +118,9 @@ def cgc4_c_closed(case, j1, lam1, alf1, j2, lam2, alf2, j, lam, alf):
       'spin1'                    j1 = 1, lam1 = alf1 = 0, j = j2 -+ 1
     A query that does not match the requested pattern is rejected.
     """
+    if case not in _CLOSED_CASES:
+        raise ValueError(f"unknown closed-form case {case!r}; expected one "
+                         f"of {', '.join(_CLOSED_CASES)}")
     if case == "stretched":
         _require(j == j1 + j2, "'stretched' needs j = j1 + j2")
         cg_par = cgc3(2 * lam1, 0, 2 * lam2, 0, 2 * lam, 0)
@@ -171,18 +179,16 @@ def cgc4_c_closed(case, j1, lam1, alf1, j2, lam2, alf2, j, lam, alf):
         return (phase * (j + 1.0) / math.sqrt(j1 + 1.0)
                 * wigner6j(2 * lam, j, j, j1, j2, j2))
 
-    if case == "spin1":
-        _require(j1 == 1 and lam1 == 0 and alf1 == 0 and abs(j - j2) == 1,
-                 "'spin1' needs j1 = 1, lam1 = alf1 = 0, j = j2 -+ 1")
-        if lam != lam2 or alf != alf2:
-            return 0.0
-        if j == j2 - 1:
-            return (math.sqrt((j2 - lam) * (j2 + lam + 1.0))
-                    / ((j2 + 1.0) * math.sqrt(2.0)))
-        return (math.sqrt((j2 - lam + 1.0) * (j2 + lam + 2.0))
+    # case == "spin1", the last of _CLOSED_CASES.
+    _require(j1 == 1 and lam1 == 0 and alf1 == 0 and abs(j - j2) == 1,
+             "'spin1' needs j1 = 1, lam1 = alf1 = 0, j = j2 -+ 1")
+    if lam != lam2 or alf != alf2:
+        return 0.0
+    if j == j2 - 1:
+        return (math.sqrt((j2 - lam) * (j2 + lam + 1.0))
                 / ((j2 + 1.0) * math.sqrt(2.0)))
-
-    raise ValueError(f"unknown closed-form case {case!r}")
+    return (math.sqrt((j2 - lam + 1.0) * (j2 + lam + 2.0))
+            / ((j2 + 1.0) * math.sqrt(2.0)))
 
 
 @lru_cache(maxsize=None)

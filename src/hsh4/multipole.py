@@ -8,6 +8,9 @@ with r = r1 + r2, valid for r1 < r2 (and as a finite polynomial identity
 when n - j is an even nonnegative integer).  Companion helpers cover the
 plane-wave radial coefficients, powers of 4D scalar products and the
 action of Laplacian powers on solid harmonics.
+
+The ``hsh4 verify`` coupling and expansion suites live here as well: they
+cross-check analytic closed forms against each other and load no scipy.
 """
 
 import csv
@@ -17,15 +20,16 @@ import math
 
 import numpy as np
 
-from .coupling import bipolar_values, rank_triangle_ok
-from .harmonics import c_table
+from .coupling import bipolar_values, cgc4_c, cgc4_c_closed, rank_triangle_ok
+from .harmonics import c_components, c_table
 from .special import (DEFAULT_SERIES, SeriesControl, hyp0f1, hyp2f1,
                       log_factorial, pochhammer)
 
 __all__ = [
     "ExpansionSpec", "CoeffTable", "admissible_pair", "plane_wave_radial",
     "scalar_power_coeff", "laplacian_power", "b_coeff", "expand_translated",
-    "expand_radial_function", "eval_expansion",
+    "expand_radial_function", "eval_expansion", "check_entry",
+    "expansion_checks", "coupling_checks",
 ]
 
 
@@ -288,3 +292,112 @@ def eval_expansion(table, j, r1hat, r2hat):
         out += val * bipolar_values("c", l, lp, j, comps[l][:, :n],
                                     comps[lp][:, n:])
     return out if r1.ndim == 2 else out[:, 0]
+
+
+def _check_tol(tol):
+    # Written so that a NaN tol fails too.
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+
+
+def check_entry(check, params, expected, observed, tol):
+    """One serializable verification record, judged against tol."""
+    abs_err = abs(expected - observed)
+    rel_err = abs_err / abs(expected) if expected else abs_err
+    return {
+        "check": check,
+        "params": params,
+        "expected": expected,
+        "observed": observed,
+        "abs_err": abs_err,
+        "rel_err": rel_err,
+        "tol": tol,
+        "pass": abs_err <= tol,
+    }
+
+
+def expansion_checks(tol, seed):
+    """Seeded residuals of four multipole tables against r^n C_j(r-hat).
+
+    Each record is judged against max(tol, 1e-8), the truncation floor of
+    the l_max = 30 and 32 tables, and says so in its "tol".
+    """
+    _check_tol(tol)
+    checks = []
+    rng = np.random.default_rng(seed)
+    for (n, j) in ((1, 1), (2, 0), (3, 1), (-2, 0)):
+        spec = ExpansionSpec(n, j, 0.5, 1.0,
+                             l_max=30 if n > 0 else 32)
+        table = expand_translated(spec)
+        worst = 0.0
+        for _ in range(5):
+            h1 = rng.normal(size=4)
+            h1 /= np.linalg.norm(h1)
+            h2 = rng.normal(size=4)
+            h2 /= np.linalg.norm(h2)
+            r = 0.5 * h1 + 1.0 * h2
+            lhs = np.linalg.norm(r) ** n * c_components(j, r)
+            rhs = eval_expansion(table, j, h1, h2)
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))
+                                     / np.max(np.abs(lhs))))
+        checks.append(check_entry(
+            "expansion-residual", {"n": n, "j": j, "r1": 0.5, "r2": 1.0},
+            0.0, worst, max(tol, 1e-8)))
+    return checks
+
+
+def coupling_checks(tol, seed):
+    """C-type CGC orthogonality on seeded columns and the stretched closed form.
+
+    Each record is judged against max(tol, 1e-12), the rounding floor of the
+    Racah sums, and says so in its "tol".
+    """
+    _check_tol(tol)
+    checks = []
+    rng = np.random.default_rng(seed)
+    # CGC contraction orthogonality on random columns.
+    worst = 0.0
+    for _ in range(20):
+        j1, j2 = int(rng.integers(0, 4)), int(rng.integers(0, 4))
+        js = list(range(abs(j1 - j2), j1 + j2 + 1, 2))
+        j = int(rng.choice(js))
+        jq = int(rng.choice(js))
+        for lam, alf in ((j, 0), (0, 0)) if j == jq else ((j, 0),):
+            lamq = min(jq, lam)
+            acc = 0.0
+            for lam1 in range(j1 + 1):
+                for alf1 in range(-lam1, lam1 + 1):
+                    for lam2 in range(j2 + 1):
+                        alf2 = alf - alf1
+                        if abs(alf2) > lam2:
+                            continue
+                        acc += (cgc4_c(j1, lam1, alf1, j2, lam2, alf2,
+                                       j, lam, alf)
+                                * cgc4_c(j1, lam1, alf1, j2, lam2, alf2,
+                                         jq, lamq, alf))
+            expect = 1.0 if (j == jq and lam == lamq) else 0.0
+            worst = max(worst, abs(acc - expect))
+    checks.append(check_entry(
+        "cgc-orthogonality", {"j_max": 3}, 0.0, worst, max(tol, 1e-12)))
+    # Closed-form spot checks.
+    worst = 0.0
+    count = 0
+    for j1 in range(0, 4):
+        for j2 in range(0, 4):
+            j = j1 + j2
+            for lam in range(j + 1):
+                for lam1 in range(j1 + 1):
+                    for lam2 in range(j2 + 1):
+                        if lam1 + lam2 > lam:
+                            continue
+                        val = cgc4_c(j1, lam1, lam1, j2, lam2, lam2,
+                                     j, lam, lam1 + lam2)
+                        ref = cgc4_c_closed("stretched", j1, lam1, lam1,
+                                            j2, lam2, lam2, j, lam,
+                                            lam1 + lam2)
+                        worst = max(worst, abs(val - ref))
+                        count += 1
+    checks.append(check_entry(
+        "cgc-closed-form-stretched", {"queries": count}, 0.0, worst,
+        max(tol, 1e-12)))
+    return checks

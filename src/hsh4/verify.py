@@ -1,4 +1,4 @@
-"""Independent numerical oracles and the named verification suites.
+"""Independent numerical oracles and the orthogonality suite.
 
 The quadrature oracles deliberately avoid the analytic evaluation paths of
 the sibling modules: harmonics are rebuilt from scipy's Gegenbauer and
@@ -10,11 +10,6 @@ A C harmonic is a radial factor of theta0 (one broadcast eval_gegenbauer
 call over (j, lam)) times an angular factor (one sph_harm_y call over
 (lam, alpha)); on the product grids the Gram separates into a theta0 Gram
 of the radial factors times a (theta, phi) Gram of the angular ones.
-
-The suites behind ``hsh4 verify`` live here as well.  The orthogonality
-suite integrates the scipy route; the coupling and expansion suites instead
-cross-check analytic closed forms against each other (CGC orthogonality and
-appendix cases, multipole tables against the translated kernel itself).
 """
 
 import math
@@ -23,14 +18,13 @@ import numpy as np
 from scipy.special import (eval_chebyu, eval_gegenbauer, eval_legendre,
                            gammaln, sph_harm_y)
 
-from .coupling import bipolar_plan, cgc4_c, cgc4_c_closed
-from .harmonics import c_components, c_flat_index, h_to_c_matrix
-from .multipole import (ExpansionSpec, _integer, eval_expansion,
-                        expand_translated)
+from .coupling import bipolar_plan
+from .harmonics import c_flat_index, h_to_c_matrix
+from .multipole import _check_tol, _integer, check_entry
 
 __all__ = [
     "QuadratureGrid", "build_grid", "gram_matrix", "orthogonality_report",
-    "project_multipole", "check_entry", "expansion_checks", "coupling_checks",
+    "project_multipole",
 ]
 
 _S3_VOLUME = 2.0 * math.pi ** 2
@@ -171,28 +165,6 @@ def gram_matrix(j_max, grid):
     return ((R * grid.w0) @ R.conj().T) * Ag[np.ix_(k, k)]
 
 
-def _check_tol(tol):
-    # Written so that a NaN tol fails too.
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-
-
-def check_entry(check, params, expected, observed, tol):
-    """One serializable verification record, judged against tol."""
-    abs_err = abs(expected - observed)
-    rel_err = abs_err / abs(expected) if expected else abs_err
-    return {
-        "check": check,
-        "params": params,
-        "expected": expected,
-        "observed": observed,
-        "abs_err": abs_err,
-        "rel_err": rel_err,
-        "tol": tol,
-        "pass": abs_err <= tol,
-    }
-
-
 def orthogonality_report(j_max, grid, tol=1e-10):
     """Overlap matrices of both families against 2 pi^2/(j+1) deltas.
 
@@ -324,90 +296,3 @@ def project_multipole(n, j, r1, r2, l, lp, grid=None, seeds=(7, 19),
         raise RuntimeError(
             f"projection seeds disagree by {spread:.3e}; grid too coarse")
     return float(np.mean(vals))
-
-
-def expansion_checks(tol, seed):
-    """Seeded residuals of four multipole tables against r^n C_j(r-hat).
-
-    Each record is judged against max(tol, 1e-8), the truncation floor of
-    the l_max = 30 and 32 tables, and says so in its "tol".
-    """
-    _check_tol(tol)
-    checks = []
-    rng = np.random.default_rng(seed)
-    for (n, j) in ((1, 1), (2, 0), (3, 1), (-2, 0)):
-        spec = ExpansionSpec(n, j, 0.5, 1.0,
-                             l_max=30 if n > 0 else 32)
-        table = expand_translated(spec)
-        worst = 0.0
-        for _ in range(5):
-            h1 = rng.normal(size=4)
-            h1 /= np.linalg.norm(h1)
-            h2 = rng.normal(size=4)
-            h2 /= np.linalg.norm(h2)
-            r = 0.5 * h1 + 1.0 * h2
-            lhs = np.linalg.norm(r) ** n * c_components(j, r)
-            rhs = eval_expansion(table, j, h1, h2)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))
-                                     / np.max(np.abs(lhs))))
-        checks.append(check_entry(
-            "expansion-residual", {"n": n, "j": j, "r1": 0.5, "r2": 1.0},
-            0.0, worst, max(tol, 1e-8)))
-    return checks
-
-
-def coupling_checks(tol, seed):
-    """C-type CGC orthogonality on seeded columns and the stretched closed form.
-
-    Each record is judged against max(tol, 1e-12), the rounding floor of the
-    Racah sums, and says so in its "tol".
-    """
-    _check_tol(tol)
-    checks = []
-    rng = np.random.default_rng(seed)
-    # CGC contraction orthogonality on random columns.
-    worst = 0.0
-    for _ in range(20):
-        j1, j2 = int(rng.integers(0, 4)), int(rng.integers(0, 4))
-        js = list(range(abs(j1 - j2), j1 + j2 + 1, 2))
-        j = int(rng.choice(js))
-        jq = int(rng.choice(js))
-        for lam, alf in ((j, 0), (0, 0)) if j == jq else ((j, 0),):
-            lamq = min(jq, lam)
-            acc = 0.0
-            for lam1 in range(j1 + 1):
-                for alf1 in range(-lam1, lam1 + 1):
-                    for lam2 in range(j2 + 1):
-                        alf2 = alf - alf1
-                        if abs(alf2) > lam2:
-                            continue
-                        acc += (cgc4_c(j1, lam1, alf1, j2, lam2, alf2,
-                                       j, lam, alf)
-                                * cgc4_c(j1, lam1, alf1, j2, lam2, alf2,
-                                         jq, lamq, alf))
-            expect = 1.0 if (j == jq and lam == lamq) else 0.0
-            worst = max(worst, abs(acc - expect))
-    checks.append(check_entry(
-        "cgc-orthogonality", {"j_max": 3}, 0.0, worst, max(tol, 1e-12)))
-    # Closed-form spot checks.
-    worst = 0.0
-    count = 0
-    for j1 in range(0, 4):
-        for j2 in range(0, 4):
-            j = j1 + j2
-            for lam in range(j + 1):
-                for lam1 in range(j1 + 1):
-                    for lam2 in range(j2 + 1):
-                        if lam1 + lam2 > lam:
-                            continue
-                        val = cgc4_c(j1, lam1, lam1, j2, lam2, lam2,
-                                     j, lam, lam1 + lam2)
-                        ref = cgc4_c_closed("stretched", j1, lam1, lam1,
-                                            j2, lam2, lam2, j, lam,
-                                            lam1 + lam2)
-                        worst = max(worst, abs(val - ref))
-                        count += 1
-    checks.append(check_entry(
-        "cgc-closed-form-stretched", {"queries": count}, 0.0, worst,
-        max(tol, 1e-12)))
-    return checks

@@ -57,6 +57,29 @@ def test_cgc_h_family(capsys):
     assert val == pytest.approx(0.5)  # (1/sqrt 2)^2
 
 
+def test_cgc_h_doubles_projections_not_ranks(capsys):
+    plain = _run(capsys, "cgc", "--family", "h", "--output", "json",
+                 "--q", "2,1,1,2,-1,-1,4,0,0")
+    doubled = _run(capsys, "cgc", "--family", "h", "--output", "json",
+                   "--doubled", "--q", "2,2,2,2,-2,-2,4,0,0")
+    assert plain == doubled
+    payload = json.loads(plain[1])
+    assert payload["q"] == [2, 2, 2, 2, -2, -2, 4, 0, 0]
+    # <1 1; 1 -1 | 2 0>^2
+    assert payload["value"] == pytest.approx(1.0 / 6.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--family", "c", "--j", "2", "--lambda", "0", "--alpha", "0",
+     "--point", "0,0,0,1"),
+    ("cgc", "--family", "c", "--q", "2,0,0,2,0,0,4,0,0"),
+])
+def test_doubled_with_family_c_exit_two(capsys, argv):
+    code, out, err = _run(capsys, *argv, "--doubled")
+    assert code == 2
+    assert out == "" and "--doubled" in err and "Traceback" not in err
+
+
 def test_ninej(capsys):
     code, out, _ = _run(capsys, "ninej", "--q", "2,2,0,2,2,0,2,2,0",
                         "--output", "json")
@@ -214,12 +237,14 @@ for argv in (["eval", "--family", "c", "--j", "2", "--lambda", "1",
               "--alpha", "-1", "--point", "0.1,0.2,0.9,0.4"],
              ["cgc", "--family", "c", "--q", "1,0,0,1,0,0,2,0,0"],
              ["ninej", "--q", "1,1,2,1,1,2,2,2,0"],
-             ["expand", "--n", "-2", "--j", "0", "--r1", "0.5", "--r2", "1"]):
+             ["expand", "--n", "-2", "--j", "0", "--r1", "0.5", "--r2", "1"],
+             ["verify", "coupling"], ["verify", "expansion"]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(cli.main(argv))
 analytic = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 with contextlib.redirect_stdout(io.StringIO()):
-    codes.append(cli.main(["verify", "coupling"]))
+    codes.append(cli.main(["verify", "orthogonality", "--jmax", "1",
+                           "--grid", "8,8,17"]))
 print(json.dumps({"codes": codes, "analytic": analytic,
                   "oracle": "scipy.special" in sys.modules}))
 """
@@ -227,12 +252,14 @@ print(json.dumps({"codes": codes, "analytic": analytic,
 
 def test_analytic_route_loads_no_scipy():
     # scipy belongs to the oracle alone; an analytic module that started
-    # using it would make hsh4.verify no longer an independent check.
+    # using it would make hsh4.verify no longer an independent check.  The
+    # coupling and expansion suites check analytic code against itself and
+    # need no scipy either; only the orthogonality suite loads it.
     src = str(pathlib.Path(hsh4.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", _ANALYTIC_ROUTE],
                           capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 0, 0, 0, 0]
+    assert result["codes"] == [0] * 7
     assert result["analytic"] == []
     assert result["oracle"]

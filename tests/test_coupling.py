@@ -93,6 +93,11 @@ def test_cgc4_c_contraction_orthogonality():
                                             abs=1e-13)
 
 
+def test_closed_form_unknown_case_names_the_cases():
+    with pytest.raises(ValueError, match="stretched, .*, spin1"):
+        cgc4_c_closed("stretch", 1, 0, 0, 1, 0, 0, 2, 0, 0)
+
+
 @pytest.mark.parametrize("case", ["stretched", "stretched_j1_zero_lambda",
                                   "diff", "six_j_reduction", "spin1"])
 def test_closed_forms_match_general(case):

@@ -8,9 +8,9 @@ import pytest
 from hsh4 import verify
 from hsh4.harmonics import (_h_to_c_entries, c_components, c_flat_index,
                             c_table, cos4)
-from hsh4.multipole import ExpansionSpec, b_coeff
+from hsh4.multipole import (ExpansionSpec, b_coeff, coupling_checks,
+                            expansion_checks)
 from hsh4.verify import (build_grid, c_harmonics_at_vectors,
-                         coupling_checks, expansion_checks,
                          orthogonality_report, project_multipole)
 
 S3 = 2.0 * math.pi ** 2
