@@ -140,8 +140,11 @@ def _cmd_verify(args):
     if args.suite == "orthogonality":
         # Only this suite loads the scipy oracle; nothing else imports it.
         from . import verify as verify_mod
-        n0, n1, n2 = (int(t) for t in args.grid.split(","))
-        grid = verify_mod.build_grid(n0, n1, n2)
+        shape = [int(t) for t in args.grid.split(",")]
+        if len(shape) != 3:
+            raise ValueError("--grid needs three comma-separated node "
+                             "counts n0,n1,n2")
+        grid = verify_mod.build_grid(*shape)
         checks, _ = verify_mod.orthogonality_report(args.jmax, grid, tol=tol)
     elif args.suite == "expansion":
         checks = expansion_checks(tol, args.seed)

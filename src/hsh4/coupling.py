@@ -66,6 +66,10 @@ def cgc4_c(j1, lam1, alf1, j2, lam2, alf2, j, lam, alf):
         return 0.0
     if not (0 <= lam1 <= j1 and 0 <= lam2 <= j2 and 0 <= lam <= j):
         return 0.0
+    for a, lm in ((alf1, lam1), (alf2, lam2), (alf, lam)):
+        if abs(a) > lm:
+            raise ValueError(f"invalid projection alpha = {a} for "
+                             f"lambda = {lm}: need |alpha| <= lambda")
     cg = cgc3(2 * lam1, 2 * alf1, 2 * lam2, 2 * alf2, 2 * lam, 2 * alf)
     if cg == 0.0:
         return 0.0

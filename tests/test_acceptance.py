@@ -281,15 +281,15 @@ def test_07_projection_oracle():
 
 
 def test_07b_projection_oracle_coverage():
-    """Projection reaches l = 8 at r1/r2 = 0.5 and l = 4 at 0.7, to 1e-8.
+    """Projection reaches l = 8 at r1/r2 = 0.5 and 0.9, l = 4 at 0.7, to 1e-8.
 
-    Each grid is the smallest of the (m, m, 2m+1) family from which on the
-    seed spread and each seed's error stay below 1e-10 and shrink with m:
-    at most 4e-12 at 0.5 on 12x12x25 (2e-10 on 11x11x23) and 4e-11 at 0.7
-    on 19x19x39 (2e-10 on 18x18x37).
+    The nested-rule gate passes every coefficient on these grids, at most
+    1.2e-13 off at 0.5 on 12x12x25 (from 11x11x23 on) and 4.8e-13 at 0.7 on
+    19x19x39 (from 16x16x33 on).  At 0.9, 60x60x121 is at most 3.7e-12 off;
+    58x58x117 still raises on one coefficient.
     """
     worst, checked = 0.0, 0
-    for ratio, l_top, m in ((0.5, 8, 12), (0.7, 4, 19)):
+    for ratio, l_top, m in ((0.5, 8, 12), (0.7, 4, 19), (0.9, 8, 60)):
         grid = build_grid(m, m, 2 * m + 1)
         for (n, j) in ((-2.0, 0), (-3.0, 1)):
             spec = ExpansionSpec(n, j, ratio, 1.0, l_max=l_top + j)

@@ -228,6 +228,20 @@ def test_bad_point_exit_two(capsys):
     assert "point" in err
 
 
+def test_verify_grid_needs_three_counts(capsys):
+    code, out, err = _run(capsys, "verify", "orthogonality", "--grid", "4,4")
+    assert code == 2
+    assert out == "" and "--grid" in err and "n0,n1,n2" in err
+
+
+def test_cgc_c_projection_outside_lambda_exit_two(capsys):
+    code, out, err = _run(capsys, "cgc", "--family", "c", "--q",
+                          "1,0,0,1,0,0,2,0,5")
+    assert code == 2
+    assert out == "" and "alpha = 5 for lambda = 0" in err
+    assert "2m" not in err and "Traceback" not in err
+
+
 _ANALYTIC_ROUTE = """
 import contextlib, io, json, sys
 import hsh4

@@ -98,6 +98,14 @@ def test_closed_form_unknown_case_names_the_cases():
         cgc4_c_closed("stretch", 1, 0, 0, 1, 0, 0, 2, 0, 0)
 
 
+@pytest.mark.parametrize("q", [(1, 0, 0, 1, 0, 0, 2, 0, 5),
+                               (2, 1, -2, 2, 1, 0, 2, 2, -2)])
+def test_cgc4_c_projection_outside_lambda_names_alpha(q):
+    # the labels are C-family ones, not the doubled 3D ones of cgc3
+    with pytest.raises(ValueError, match=r"alpha = -?\d+ for lambda = \d+"):
+        cgc4_c(*q)
+
+
 @pytest.mark.parametrize("case", ["stretched", "stretched_j1_zero_lambda",
                                   "diff", "six_j_reduction", "spin1"])
 def test_closed_forms_match_general(case):

@@ -183,12 +183,14 @@ def test_projection_rejects_non_finite(n, r1, r2):
 
 
 @pytest.mark.parametrize("vals", [(math.nan, math.nan), (1.0, math.nan),
-                                  (math.inf, math.inf)])
+                                  (math.inf, math.inf), (math.nan, 1.0),
+                                  (1.0, math.inf)])
 def test_projection_gate_rejects_non_finite_seeds(monkeypatch, vals):
-    # a NaN spread compares False with the bound; the gate must still fail
-    seeds = iter(vals)
-    monkeypatch.setattr(verify, "_project_one", lambda *args: next(seeds))
-    with pytest.raises(RuntimeError):
+    # A NaN or inf from either the coarse or the fine rule must fail the
+    # gate, also where the difference alone would not: |1 - inf| <= inf.
+    rules = iter(vals)
+    monkeypatch.setattr(verify, "_project_one", lambda *args: next(rules))
+    with pytest.raises(RuntimeError, match="non-finite"):
         project_multipole(1, 1, 0.5, 1.0, 0, 1)
 
 
@@ -222,31 +224,64 @@ def test_projection_recovers_known_coefficients():
     assert got == pytest.approx(b_coeff(spec, 1, 1), abs=1e-8)
 
 
+def _coarse_rule(n, j, ratio, l, lp, m):
+    """The gate's coarse value on the m x m x (2m + 1) grid."""
+    return verify._project_one(n, j, ratio, 1.0, l, lp,
+                               build_grid(2 * m, 2 * m, 1))
+
+
 def test_projection_seed_disagreement_flags_coarse_grid():
-    g = build_grid(3, 3, 7)
-    with pytest.raises(RuntimeError):
-        project_multipole(-3, 1, 0.5, 1.0, 3, 4, grid=g,
-                          agree_tol=1e-12)
+    # On 3x3x7 the coarse rule misses B^{(-3 1)}_{3 4} by 2.6e-2.
+    ref = b_coeff(ExpansionSpec(-3.0, 1, 0.5, 1.0, l_max=5), 3, 4)
+    assert abs(_coarse_rule(-3.0, 1, 0.5, 3, 4, 3) - ref) > 1e-8
+    with pytest.raises(RuntimeError, match="too coarse"):
+        project_multipole(-3.0, 1, 0.5, 1.0, 3, 4, grid=build_grid(3, 3, 7))
 
 
 def test_projection_gate_margin_rejects_close_but_wrong_seeds():
-    # On 8x8x17 at r1/r2 = 0.5 the two default seeds agree to 3e-9 but
-    # both miss B^{(-3 1)}_{7 8} by ~4e-8: a gate on the bare spread would
-    # pass, the tenfold margin does not.
-    g = build_grid(8, 8, 17)
-    ref = b_coeff(ExpansionSpec(-3.0, 1, 0.5, 1.0, l_max=9), 7, 8)
-    vals = [verify._project_one(-3.0, 1, 0.5, 1.0, 7, 8, g, s)
-            for s in (7, 19)]
-    assert abs(vals[0] - vals[1]) < 1e-8
-    assert min(abs(v - ref) for v in vals) > 1e-8
-    with pytest.raises(RuntimeError):
-        project_multipole(-3.0, 1, 0.5, 1.0, 7, 8, grid=g)
+    # On 6x6x13 at r1/r2 = 0.5 the coarse rule misses B^{(-3 1)}_{1 0} by
+    # 7.5e-9 and the fine rule by ~2e-15.  With agree_tol = 5e-9 the coarse
+    # miss exceeds agree_tol; with the default 1e-8 the rules agree to
+    # within agree_tol, so a gate on the bare difference would pass, and
+    # the tenfold margin raises.
+    g = build_grid(6, 6, 13)
+    ref = b_coeff(ExpansionSpec(-3.0, 1, 0.5, 1.0, l_max=2), 1, 0)
+    coarse = _coarse_rule(-3.0, 1, 0.5, 1, 0, 6)
+    assert 1e-9 < abs(coarse - ref) <= 1e-8
+    with pytest.raises(RuntimeError, match="too coarse"):
+        project_multipole(-3.0, 1, 0.5, 1.0, 1, 0, grid=g, agree_tol=5e-9)
+    with pytest.raises(RuntimeError, match="too coarse"):
+        project_multipole(-3.0, 1, 0.5, 1.0, 1, 0, grid=g)
+
+
+def test_projection_gate_passes_only_accurate_values():
+    # Over grids from too coarse to ample, whenever the nested-rule gate
+    # passes, the value is within agree_tol of b_coeff, the 1e-8
+    # acceptance bound of the two-seed gate it replaces.
+    passed = raised = 0
+    for m, ratio in ((5, 0.5), (8, 0.5), (11, 0.7), (16, 0.7), (24, 0.9)):
+        g = build_grid(m, m, 2 * m + 1)
+        for n, j in ((-2.0, 0), (-3.0, 1), (1.0, 1)):
+            spec = ExpansionSpec(n, j, ratio, 1.0, l_max=8 + j)
+            for l in range(9):
+                for lp in range(abs(l - j), l + j + 1, 2):
+                    try:
+                        got = project_multipole(n, j, ratio, 1.0, l, lp,
+                                                grid=g)
+                    except RuntimeError:
+                        raised += 1
+                        continue
+                    ref = b_coeff(spec, l, lp)
+                    assert abs(got - ref) <= 1e-8 * max(1.0, abs(ref))
+                    passed += 1
+    assert passed and raised
 
 
 def test_projection_refines_the_given_grid():
-    # 10x10x21 is exact to degree 19; the x2 sum runs over its twofold
-    # refinement, exact to degree 39, which recovers this coefficient to
-    # rounding at r1/r2 = 0.38.
+    # 10x10x21 is exact to degree 19; the x2 sums run over the (theta0,
+    # theta) factors of its twofold and fourfold refinements, exact to
+    # degree 39 and 79, which recover this coefficient to rounding at
+    # r1/r2 = 0.38.
     g = build_grid(10, 10, 21)
     spec = ExpansionSpec(-3.0, 1, 0.38, 1.0, l_max=3)
     got = project_multipole(-3.0, 1, 0.38, 1.0, 1, 2, grid=g)
