@@ -256,8 +256,8 @@ def test_projection_gate_margin_rejects_close_but_wrong_seeds():
 
 def test_projection_gate_passes_only_accurate_values():
     # Over grids from too coarse to ample, whenever the nested-rule gate
-    # passes, the value is within agree_tol of b_coeff, the 1e-8
-    # acceptance bound of the two-seed gate it replaces.
+    # passes, the value is within agree_tol = 1e-8 of b_coeff, relative to
+    # max(1, |B|): the gate lets nothing through that the bound would fail.
     passed = raised = 0
     for m, ratio in ((5, 0.5), (8, 0.5), (11, 0.7), (16, 0.7), (24, 0.9)):
         g = build_grid(m, m, 2 * m + 1)
