@@ -13,7 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special import _LOGFAC, log_factorial
+from .special import (_LOGFAC, _c_label, _finite, _rank, log_factorial,
+                      validate_jm)
 
 __all__ = [
     "validate_jm",
@@ -23,14 +24,6 @@ __all__ = [
     "gen_character",
     "mod_sph_harm",
 ]
-
-
-def validate_jm(tj, tm):
-    """Check a doubled (2j, 2m) pair: |m| <= j and matching parity."""
-    if tj < 0:
-        raise ValueError(f"negative angular momentum 2j = {tj}")
-    if abs(tm) > tj or (tj - tm) % 2 != 0:
-        raise ValueError(f"invalid projection 2m = {tm} for 2j = {tj}")
 
 
 def _triangle_ok(ta, tb, tc):
@@ -48,11 +41,13 @@ def _log_triangle(ta, tb, tc):
 def cgc3(tj1, tm1, tj2, tm2, tj, tm):
     """3D Clebsch-Gordan coefficient C^{j m}_{j1 m1, j2 m2}.
 
-    Racah's single-sum formula evaluated with log factorials.  Returns 0
-    when m != m1 + m2 or the triangle rule fails.
+    Racah's single-sum formula evaluated with log factorials.  Exactly 0
+    when m != m1 + m2 or the triangle rule fails; a pair outside
+    validate_jm raises ValueError.
     """
-    for pair in ((tj1, tm1), (tj2, tm2), (tj, tm)):
-        validate_jm(*pair)
+    tj1, tm1 = validate_jm(tj1, tm1, "1")
+    tj2, tm2 = validate_jm(tj2, tm2, "2")
+    tj, tm = validate_jm(tj, tm)
     if tm1 + tm2 != tm or not _triangle_ok(tj1, tj2, tj):
         return 0.0
 
@@ -83,8 +78,15 @@ def cgc3(tj1, tm1, tj2, tm2, tj, tm):
 def wigner6j(ta, tb, tc, td, te, tf):
     """6j symbol {a b c; d e f}, doubled-integer arguments.
 
-    Invalid triads give 0.
+    Exactly 0 when a triad fails the triangle rule; a negative or
+    non-integer argument raises ValueError.
     """
+    return _wigner6j(*(_rank(f"2{x}", v) for x, v in
+                       zip("abcdef", (ta, tb, tc, td, te, tf))))
+
+
+def _wigner6j(ta, tb, tc, td, te, tf):
+    """wigner6j of arguments that passed its check."""
     triads = ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc))
     if not all(_triangle_ok(*t) for t in triads):
         return 0.0
@@ -109,7 +111,14 @@ def wigner6j(ta, tb, tc, td, te, tf):
 
 
 def wigner9j(ta, tb, tc, td, te, tf, tg, th, tk):
-    """9j symbol, computed as a single sum over products of three 6j symbols."""
+    """9j symbol, computed as a single sum over products of three 6j symbols.
+
+    Doubled-integer arguments; exactly 0 when a row or column fails the
+    triangle rule, ValueError for a negative or non-integer argument.
+    """
+    ta, tb, tc, td, te, tf, tg, th, tk = (
+        _rank(f"2{x}", v) for x, v in
+        zip("abcdefghk", (ta, tb, tc, td, te, tf, tg, th, tk)))
     rows = ((ta, tb, tc), (td, te, tf), (tg, th, tk))
     cols = ((ta, td, tg), (tb, te, th), (tc, tf, tk))
     if not all(_triangle_ok(*t) for t in rows + cols):
@@ -119,9 +128,9 @@ def wigner9j(ta, tb, tc, td, te, tf, tg, th, tk):
     total = 0.0
     for tx in range(tx_min, tx_max + 1, 2):
         total += ((-1.0) ** tx * (tx + 1)
-                  * wigner6j(ta, td, tg, th, tk, tx)
-                  * wigner6j(tb, te, th, td, tx, tf)
-                  * wigner6j(tc, tf, tk, tx, ta, tb))
+                  * _wigner6j(ta, td, tg, th, tk, tx)
+                  * _wigner6j(tb, te, th, td, tx, tf)
+                  * _wigner6j(tc, tf, tk, tx, ta, tb))
     return total
 
 
@@ -342,9 +351,8 @@ def gen_character(tl, lam, omega):
     with tl = 2l doubled.  Accepts numpy arrays for omega.  The factor after
     sqrt(2l+1) is a half-integer Legendre row of _legendre_rows.
     """
-    if not 0 <= lam <= tl:
-        raise ValueError(f"gen_character: need 0 <= lambda <= 2l, got "
-                         f"lambda = {lam}, 2l = {tl}")
+    tl, lam, _ = _c_label(tl, lam, 0)
+    _finite(omega=omega)
     (omega,), shape = _flat_points(omega)
     rows = _legendre_rows(tl, range(lam, lam + 1), np.cos(0.5 * omega),
                           np.sin(0.5 * omega), shift=0.5)
@@ -358,9 +366,8 @@ def mod_sph_harm(lam, alpha, theta, phi):
     Condon-Shortley convention; C_00 = 1, C_10 = cos(theta).  Accepts numpy
     arrays for theta and phi.
     """
-    if abs(alpha) > lam:
-        raise ValueError(f"mod_sph_harm: |alpha| <= lambda required, got "
-                         f"alpha = {alpha}, lambda = {lam}")
+    _, lam, alpha = _c_label(lam, lam, alpha)
+    _finite(theta=theta, phi=phi)
     a = abs(alpha)
     (theta, phi), shape = _flat_points(theta, phi)
     rows = _legendre_rows(lam, range(a, a + 1), np.cos(theta),

@@ -18,7 +18,6 @@ out (such as a series that does not converge).
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -28,6 +27,7 @@ from .coupling import _CLOSED_CASES, cgc4_c, cgc4_c_closed, cgc4_h, ninej4
 from .harmonics import hsh_c, hsh_h
 from .multipole import (ExpansionSpec, coupling_checks, expand_translated,
                         expansion_checks)
+from .special import _tol
 
 _DOUBLED_C = "--doubled applies to the H projections only, not --family c"
 
@@ -134,9 +134,7 @@ def _cmd_expand(args):
 
 def _cmd_verify(args):
     tol = args.tol if args.tol is not None else default_tol()
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tolerance (--tol or HSH4_TOL) must be finite and "
-                         f"> 0, got {tol}")
+    _tol("tolerance (--tol or HSH4_TOL)", tol)
     if args.suite == "orthogonality":
         # Only this suite loads the scipy oracle; nothing else imports it.
         from . import verify as verify_mod

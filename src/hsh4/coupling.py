@@ -14,11 +14,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import (_cgc3_array, _wigner9j_array, cgc3, wigner6j,
-                      wigner9j)
-from .harmonics import (c_components, c_flat_index, h_components,
-                        h_flat_index)
-from .special import log_factorial
+from .angular import (_cgc3_array, _triangle_ok, _wigner9j_array, cgc3,
+                      wigner6j, wigner9j)
+from .harmonics import _c_index, _h_index, c_components, h_components
+from .special import _c_label, _rank, log_factorial, validate_jm
 
 __all__ = [
     "cgc4_h",
@@ -30,21 +29,25 @@ __all__ = [
     "bipolar_values",
     "bipolar_plan",
     "linearize_product",
+    "rank_triangle_ok",
 ]
 
 
 def rank_triangle_ok(j1, j2, j):
-    """O(4) triangle rule: |j1-j2| <= j <= j1+j2 with j1+j2+j even."""
-    return abs(j1 - j2) <= j <= j1 + j2 and (j1 + j2 + j) % 2 == 0
+    """O(4) triangle rule for ranks >= 0: |j1-j2| <= j <= j1+j2, j1+j2+j even."""
+    return _triangle_ok(_rank("j1", j1), _rank("j2", j2), _rank("j", j))
 
 
 @lru_cache(maxsize=None)
 def cgc4_h(j1, tmu1, tnu1, j2, tmu2, tnu2, j, tmu, tnu):
-    """H-type O(4) CGC: product of two 3D CGC coupling the mu and nu projections."""
-    if not rank_triangle_ok(j1, j2, j):
-        return 0.0
-    return (cgc3(j1, tmu1, j2, tmu2, j, tmu)
-            * cgc3(j1, tnu1, j2, tnu2, j, tnu))
+    """H-type O(4) CGC: product of two 3D CGC coupling the mu and nu projections.
+
+    Exactly 0 outside the selection rules; cgc3 rejects a (j, 2mu) or (j,
+    2nu) pair outside validate_jm.
+    """
+    cg_mu = cgc3(j1, tmu1, j2, tmu2, j, tmu)
+    cg_nu = cgc3(j1, tnu1, j2, tnu2, j, tnu)
+    return cg_mu * cg_nu if cg_mu and cg_nu else 0.0
 
 
 @lru_cache(maxsize=None)
@@ -59,17 +62,15 @@ def cgc4_c(j1, lam1, alf1, j2, lam2, alf2, j, lam, alf):
     """C-type O(4) CGC C^{j lam alf}_{j1 lam1 alf1; j2 lam2 alf2}.
 
     (j+1) sqrt((2 lam1+1)(2 lam2+1)) C^{lam alf}_{lam1 alf1, lam2 alf2}
-    x 9j{j1/2 j2/2 j/2; j1/2 j2/2 j/2; lam1 lam2 lam}.  Zero outside the
-    triangle/parity selection rules.
+    x 9j{j1/2 j2/2 j/2; j1/2 j2/2 j/2; lam1 lam2 lam}.  Each label must
+    be a C label (0 <= lam <= j, |alf| <= lam; ValueError otherwise); valid
+    labels outside the triangle/parity selection rules give exactly 0.
     """
-    if not rank_triangle_ok(j1, j2, j):
+    j1, lam1, alf1 = _c_label(j1, lam1, alf1, "1")
+    j2, lam2, alf2 = _c_label(j2, lam2, alf2, "2")
+    j, lam, alf = _c_label(j, lam, alf)
+    if not _triangle_ok(j1, j2, j):
         return 0.0
-    if not (0 <= lam1 <= j1 and 0 <= lam2 <= j2 and 0 <= lam <= j):
-        return 0.0
-    for a, lm in ((alf1, lam1), (alf2, lam2), (alf, lam)):
-        if abs(a) > lm:
-            raise ValueError(f"invalid projection alpha = {a} for "
-                             f"lambda = {lm}: need |alpha| <= lambda")
     cg = cgc3(2 * lam1, 2 * alf1, 2 * lam2, 2 * alf2, 2 * lam, 2 * alf)
     if cg == 0.0:
         return 0.0
@@ -77,15 +78,24 @@ def cgc4_c(j1, lam1, alf1, j2, lam2, alf2, j, lam, alf):
 
 
 def ninej4(a, b, c, d, e, f, g, h, k):
-    """4D 9j recoupling coefficient: the squared halved-argument 3D 9j symbol."""
+    """4D 9j recoupling coefficient: the squared halved-argument 3D 9j symbol.
+
+    Exactly 0 when a row or column fails the triangle rule (see wigner9j).
+    """
     return wigner9j(a, b, c, d, e, f, g, h, k) ** 2
 
 
 def ninej4_closed(k, l, lp, j):
-    """Closed form of the 4D 9j pattern [k k 0; l-k j-l+k j; l l' j]."""
-    if k < 0 or not 0 <= k <= l or j - l + k < 0:
-        raise ValueError("invalid pattern arguments")
-    if (j + l + lp) % 2 != 0 or lp < 0:
+    """Closed form of the 4D 9j pattern [k k 0; l-k j-l+k j; l l' j].
+
+    The ranks must be nonnegative integers with k <= l <= j + k (ValueError
+    otherwise); exactly 0 when (l, l', j) fails the triangle or parity rule.
+    """
+    k, l, lp, j = _rank("k", k), _rank("l", l), _rank("lp", lp), _rank("j", j)
+    if not k <= l <= j + k:
+        raise ValueError(f"pattern needs k <= l <= j + k, got k = {k}, "
+                         f"l = {l}, j = {j}")
+    if (j + l + lp) % 2 != 0:
         return 0.0
     # Every Gamma argument is an integer here, so a factor with a pole or a
     # zero gives the exact 0, and the rest is one correctly rounded division
@@ -99,11 +109,6 @@ def ninej4_closed(k, l, lp, j):
     return (fac(k) * fac(j - l + k) * fac((j + l + lp) // 2 + 1) * fac(d)
             / (fac(l + 1) * fac(j + 1) * fac(m1) * fac(m2)
                * (k + 1) * (j + 1)))
-
-
-def _require(cond, msg):
-    if not cond:
-        raise ValueError(msg)
 
 
 # The cases of cgc4_c_closed, in the order the CLI tries them.
@@ -120,13 +125,19 @@ def cgc4_c_closed(case, j1, lam1, alf1, j2, lam2, alf2, j, lam, alf):
       'diff'                     j = j2 - j1
       'six_j_reduction'          lam1 = alf1 = 0, arbitrary j
       'spin1'                    j1 = 1, lam1 = alf1 = 0, j = j2 -+ 1
-    A query that does not match the requested pattern is rejected.
+    A query that does not match the requested pattern, or whose labels are
+    not C labels, is rejected; a matching query outside the selection rules
+    gives exactly 0.
     """
     if case not in _CLOSED_CASES:
         raise ValueError(f"unknown closed-form case {case!r}; expected one "
                          f"of {', '.join(_CLOSED_CASES)}")
+    j1, lam1, alf1 = _c_label(j1, lam1, alf1, "1")
+    j2, lam2, alf2 = _c_label(j2, lam2, alf2, "2")
+    j, lam, alf = _c_label(j, lam, alf)
     if case == "stretched":
-        _require(j == j1 + j2, "'stretched' needs j = j1 + j2")
+        if j != j1 + j2:
+            raise ValueError("'stretched' needs j = j1 + j2")
         cg_par = cgc3(2 * lam1, 0, 2 * lam2, 0, 2 * lam, 0)
         cg = cgc3(2 * lam1, 2 * alf1, 2 * lam2, 2 * alf2, 2 * lam, 2 * alf)
         if cg_par == 0.0 or cg == 0.0:
@@ -145,8 +156,9 @@ def cgc4_c_closed(case, j1, lam1, alf1, j2, lam2, alf2, j, lam, alf):
         return cg_par * cg * math.exp(log_ratio + log_root)
 
     if case == "stretched_j1_zero_lambda":
-        _require(j == j1 + j2 and lam1 == 0 and alf1 == 0,
-                 "'stretched_j1_zero_lambda' needs j = j1 + j2, lam1 = alf1 = 0")
+        if j != j1 + j2 or lam1 != 0 or alf1 != 0:
+            raise ValueError("'stretched_j1_zero_lambda' needs j = j1 + j2, "
+                             "lam1 = alf1 = 0")
         if lam != lam2 or alf != alf2:
             return 0.0
         log_val = (log_factorial(j2) - log_factorial(j1 + j2)
@@ -158,7 +170,8 @@ def cgc4_c_closed(case, j1, lam1, alf1, j2, lam2, alf2, j, lam, alf):
         return math.exp(log_val)
 
     if case == "diff":
-        _require(j == j2 - j1, "'diff' needs j = j2 - j1")
+        if j != j2 - j1:
+            raise ValueError("'diff' needs j = j2 - j1")
         cg_par = cgc3(2 * lam, 0, 2 * lam1, 0, 2 * lam2, 0)
         cg = cgc3(2 * lam1, 2 * alf1, 2 * lam2, 2 * alf2, 2 * lam, 2 * alf)
         if cg_par == 0.0 or cg == 0.0:
@@ -175,17 +188,17 @@ def cgc4_c_closed(case, j1, lam1, alf1, j2, lam2, alf2, j, lam, alf):
         return cg_par * cg * math.exp(log_ratio + log_root)
 
     if case == "six_j_reduction":
-        _require(lam1 == 0 and alf1 == 0,
-                 "'six_j_reduction' needs lam1 = alf1 = 0")
-        if lam != lam2 or alf != alf2 or not rank_triangle_ok(j1, j2, j):
+        if lam1 != 0 or alf1 != 0:
+            raise ValueError("'six_j_reduction' needs lam1 = alf1 = 0")
+        if lam != lam2 or alf != alf2 or not _triangle_ok(j1, j2, j):
             return 0.0
         phase = (-1.0) ** (lam + (j1 + j2 + j) // 2)
         return (phase * (j + 1.0) / math.sqrt(j1 + 1.0)
                 * wigner6j(2 * lam, j, j, j1, j2, j2))
 
     # case == "spin1", the last of _CLOSED_CASES.
-    _require(j1 == 1 and lam1 == 0 and alf1 == 0 and abs(j - j2) == 1,
-             "'spin1' needs j1 = 1, lam1 = alf1 = 0, j = j2 -+ 1")
+    if j1 != 1 or lam1 != 0 or alf1 != 0 or abs(j - j2) != 1:
+        raise ValueError("'spin1' needs j1 = 1, lam1 = alf1 = 0, j = j2 -+ 1")
     if lam != lam2 or alf != alf2:
         return 0.0
     if j == j2 - 1:
@@ -202,11 +215,14 @@ def bipolar_plan(family, j1, j2, j):
     Returns (i1, i2, iout, coeff) integer/float arrays over all nonzero
     CGC, with i1, i2, iout flat component indices of the two inner and the
     outer harmonic arrays.  The coefficients come from the array forms of
-    the Racah sums, so they equal cgc4_h / cgc4_c up to rounding.
+    the Racah sums, so they equal cgc4_h / cgc4_c up to rounding.  The plan
+    is empty outside the triangle rule; a negative or non-integer rank
+    raises ValueError.
     """
     if family not in ("h", "c"):
         raise ValueError(f"family must be 'h' or 'c', got {family!r}")
-    if not rank_triangle_ok(j1, j2, j):
+    j1, j2, j = _rank("j1", j1), _rank("j2", j2), _rank("j", j)
+    if not _triangle_ok(j1, j2, j):
         return (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp),
                 np.zeros(0, dtype=np.intp), np.zeros(0))
     if family == "h":
@@ -230,9 +246,9 @@ def _h_plan(j1, j2, j):
     # Row p of the outer product couples mu; column q couples nu.
     p = np.repeat(np.arange(len(col)), len(col))
     q = np.tile(np.arange(len(col)), len(col))
-    return (h_flat_index(j1, tmu1[p], tmu1[q]),
-            h_flat_index(j2, tmu2[p], tmu2[q]),
-            h_flat_index(j, tmu1[p] + tmu2[p], tmu1[q] + tmu2[q]),
+    return (_h_index(j1, tmu1[p], tmu1[q]),
+            _h_index(j2, tmu2[p], tmu2[q]),
+            _h_index(j, tmu1[p] + tmu2[p], tmu1[q] + tmu2[q]),
             col[p] * col[q])
 
 
@@ -261,8 +277,8 @@ def _c_plan(j1, j2, j):
         l1, l2 = lam1[blk], lam2[blk]
         cg = _cgc3_array(2 * l1, 2 * a1, 2 * l2, 2 * (a - a1),
                          2 * lam_out, 2 * a)
-        parts.append((c_flat_index(l1, a1), c_flat_index(l2, a - a1),
-                      c_flat_index(lam_out, a), reduced[blk] * cg))
+        parts.append((_c_index(l1, a1), _c_index(l2, a - a1),
+                      _c_index(lam_out, a), reduced[blk] * cg))
     return tuple(np.concatenate(x) for x in zip(*parts))
 
 
@@ -270,12 +286,16 @@ def bipolar_values(family, j1, j2, j, comps1, comps2):
     """All outer components of {X_{j1} (x) X_{j2}}_j from component arrays.
 
     comps1/comps2 may carry trailing axes (e.g. one column per evaluation
-    point); the output has shape ((j+1)**2, *trailing).
+    point); the output has shape ((j+1)**2, *trailing).  It is exactly 0
+    outside the triangle rule; bipolar_plan rejects a bad family or rank.
     """
     comps1 = np.asarray(comps1)
     comps2 = np.asarray(comps2)
     trailing = comps1.shape[1:]
-    if not rank_triangle_ok(j1, j2, j):
+    if type(j) is not int:  # Python ints skip the check
+        j = _rank("j", j)
+    if not _triangle_ok(j1, j2, j):
+        bipolar_plan(family, j1, j2, j)  # raises for a bad family or rank
         return np.zeros(((j + 1) ** 2,) + trailing, dtype=complex)
     i1, i2, iout, coeff = bipolar_plan(family, j1, j2, j)
     out = np.zeros(((j + 1) ** 2,) + trailing, dtype=complex)
@@ -287,13 +307,8 @@ def bipolar_values(family, j1, j2, j, comps1, comps2):
 
 def bipolar(family, j1, j2, j, a, b):
     """Bipolar harmonic component array {X_{j1}(a-hat) (x) X_{j2}(b-hat)}_j."""
-    if family == "h":
-        comps1, comps2 = h_components(j1, a), h_components(j2, b)
-    elif family == "c":
-        comps1, comps2 = c_components(j1, a), c_components(j2, b)
-    else:
-        raise ValueError(f"family must be 'h' or 'c', got {family!r}")
-    return bipolar_values(family, j1, j2, j, comps1, comps2)
+    comps = h_components if family == "h" else c_components
+    return bipolar_values(family, j1, j2, j, comps(j1, a), comps(j2, b))
 
 
 def linearize_product(family, j1, idx1, j2, idx2, v):
@@ -302,28 +317,34 @@ def linearize_product(family, j1, idx1, j2, idx2, v):
     idx pairs are (2mu, 2nu) for the H family and (lam, alpha) for the C
     family.  Returns a list of (j, idx, coefficient, harmonic_value); the
     sum of coefficient * harmonic_value reproduces the pointwise product.
+    Labels outside their domain raise ValueError.
     """
     if family not in ("h", "c"):
         raise ValueError(f"family must be 'h' or 'c', got {family!r}")
+    (p1, q1), (p2, q2) = idx1, idx2
+    if family == "h":
+        (j1, p1), (_, q1) = validate_jm(j1, p1, "1"), validate_jm(j1, q1, "1")
+        (j2, p2), (_, q2) = validate_jm(j2, p2, "2"), validate_jm(j2, q2, "2")
+    else:
+        j1, p1, q1 = _c_label(j1, p1, q1, "1")
+        j2, p2, q2 = _c_label(j2, p2, q2, "2")
     terms = []
     for j in range(abs(j1 - j2), j1 + j2 + 1, 2):
         comps = (h_components if family == "h" else c_components)(j, v)
         if family == "h":
-            tmu = idx1[0] + idx2[0]
-            tnu = idx1[1] + idx2[1]
+            tmu = p1 + p2
+            tnu = q1 + q2
             if abs(tmu) > j or abs(tnu) > j:
                 continue
-            c = cgc4_h(j1, idx1[0], idx1[1], j2, idx2[0], idx2[1],
-                       j, tmu, tnu)
+            c = cgc4_h(j1, p1, q1, j2, p2, q2, j, tmu, tnu)
             if c != 0.0:
                 terms.append((j, (tmu, tnu), c,
-                              complex(comps[h_flat_index(j, tmu, tnu)])))
+                              complex(comps[_h_index(j, tmu, tnu)])))
         else:
-            alf = idx1[1] + idx2[1]
+            alf = q1 + q2
             for lam in range(abs(alf), j + 1):
-                c = cgc4_c(j1, idx1[0], idx1[1], j2, idx2[0], idx2[1],
-                           j, lam, alf)
+                c = cgc4_c(j1, p1, q1, j2, p2, q2, j, lam, alf)
                 if c != 0.0:
                     terms.append((j, (lam, alf), c,
-                                  complex(comps[c_flat_index(lam, alf)])))
+                                  complex(comps[_c_index(lam, alf)])))
     return terms

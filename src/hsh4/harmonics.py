@@ -17,7 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import _cgc3_array, _legendre_rows, validate_jm
+from .angular import _cgc3_array, _legendre_rows
+from .special import _c_label, _finite, _rank, validate_jm
 
 __all__ = [
     "HyperAngles",
@@ -36,22 +37,27 @@ __all__ = [
     "scalar_product_c",
     "c_flat_index",
     "h_flat_index",
+    "h_to_c_matrix",
+    "cos4",
 ]
 
 
 @dataclass(frozen=True)
 class HyperAngles:
-    """Hyperspherical coordinates (r, theta0, theta, phi) of a 4-vector."""
+    """Finite hyperspherical coordinates (r, theta0, theta, phi) of a 4-vector."""
 
     r: float
     theta0: float
     theta: float
     phi: float
 
+    def __post_init__(self):
+        _finite(r=self.r, theta0=self.theta0, theta=self.theta, phi=self.phi)
 
-def _points(points):
-    """points as an (N, 4) float array; ValueError for any other shape or
-    for non-finite components."""
+
+def _points(points, nonzero=False):
+    """points as an (N, 4) float array; ValueError for any other shape, for
+    non-finite components and, with nonzero, for a zero vector."""
     v = np.asarray(points, dtype=float)
     if v.ndim != 2 or v.shape[1] != 4:
         raise ValueError(f"expected an (N, 4) array of 4-vectors, got shape "
@@ -59,25 +65,27 @@ def _points(points):
     if not np.isfinite(v).all():
         raise ValueError("4-vectors with non-finite components have no "
                          "direction")
+    if nonzero and not v.any(axis=1).all():
+        raise ValueError("zero vector has no direction")
     return v
 
 
-def _point(v):
+def _point(v, nonzero=False):
     v = np.asarray(v, dtype=float)
     if v.shape != (4,):
         raise ValueError(f"expected a 4-vector, got shape {v.shape}")
-    return _points(v[None])[0]
+    return _points(v[None], nonzero)[0]
 
 
-def _hyperangles(points):
+def _hyperangles(points, nonzero=False):
     """Arrays (r, theta0, theta, phi) of an (N, 4) array of 4-vectors.
 
     Each vector is divided by its largest |component| before any square is
     taken, so the angles of every finite vector are right; only r itself can
     overflow.  Non-finite components raise ValueError; a zero vector has
-    all-zero angles.
+    all-zero angles, or raises with nonzero.
     """
-    v = _points(points)
+    v = _points(points, nonzero)
     scale = np.max(np.abs(v), axis=1)
     x, y, z, z0 = (v / np.where(scale > 0.0, scale, 1.0)[:, None]).T
     rho_xy = np.hypot(x, y)
@@ -129,9 +137,8 @@ def hsh_h(j, tmu, tnu, v):
     U^{j/2} is the SU(2) rotation matrix of angle 2 theta0 about the axis
     (theta, phi); one entry of h_components.
     """
-    validate_jm(j, tmu)
-    validate_jm(j, tnu)
-    return complex(h_components(j, v)[h_flat_index(j, tmu, tnu)])
+    index = h_flat_index(j, tmu, tnu)  # checks the labels first
+    return complex(h_components(j, v)[index])
 
 
 def hsh_c(j, lam, alpha, v):
@@ -140,31 +147,33 @@ def hsh_c(j, lam, alpha, v):
     C_{j,lam,alf} = (-i)^lam sqrt((2 lam+1)/(j+1)) chi^{j/2}_lam(2 theta0)
     C_{lam alf}(theta, phi); one entry of c_components.
     """
-    if not 0 <= lam <= j or abs(alpha) > lam:
-        raise ValueError(f"invalid C-harmonic index (j, lam, alpha) = "
-                         f"({j}, {lam}, {alpha})")
-    return complex(c_components(j, v)[c_flat_index(lam, alpha)])
+    j, lam, alpha = _c_label(j, lam, alpha)
+    return complex(c_components(j, v)[_c_index(lam, alpha)])
 
 
 def hsh_y(j, lam, alpha, v):
     """Unit-normalised harmonic Y = ((-1)^(j+lam)/pi) sqrt((j+1)/2) C_{j,lam,alpha}."""
-    return ((-1.0) ** (j + lam) / math.pi * math.sqrt((j + 1.0) / 2.0)
-            * hsh_c(j, lam, alpha, v))
+    c = hsh_c(j, lam, alpha, v)
+    return (-1.0) ** (j + lam) / math.pi * math.sqrt((j + 1.0) / 2.0) * c
+
+
+def _h_index(j, tmu, tnu):
+    return ((tmu + j) // 2) * (j + 1) + (tnu + j) // 2
+
+
+def _c_index(lam, alpha):
+    return lam * lam + lam + alpha
 
 
 def h_flat_index(j, tmu, tnu):
     """Row-major position of (mu, nu) in a rank-j H-component array."""
-    return ((tmu + j) // 2) * (j + 1) + (tnu + j) // 2
+    j, tmu = validate_jm(j, tmu)
+    return _h_index(j, tmu, validate_jm(j, tnu)[1])
 
 
 def c_flat_index(lam, alpha):
     """Position of (lam, alpha) in a flat C-component array: lam^2 + lam + alpha."""
-    return lam * lam + lam + alpha
-
-
-def _check_rank(j):
-    if j < 0:
-        raise ValueError(f"rank j must be nonnegative, got {j}")
+    return _c_index(*_c_label(lam, lam, alpha)[1:])
 
 
 _I_POWERS = np.array([1.0, 1j, -1.0, -1j])
@@ -194,10 +203,7 @@ def _c_factors(top, points):
     modified spherical harmonics times i^lam sqrt(2 lam + 1).  Both come
     from _legendre_rows, once per point batch.
     """
-    _check_rank(top)
-    r, theta0, theta, phi = _hyperangles(points)
-    if (r == 0.0).any():
-        raise ValueError("zero vector has no direction")
+    r, theta0, theta, phi = _hyperangles(points, nonzero=True)
     orders = range(top + 1)
     g = _legendre_rows(top, orders, np.cos(theta0), np.sin(theta0),
                        shift=0.5)
@@ -217,6 +223,7 @@ def c_table(top, points):
     and the two recurrences of _legendre_rows run once for the whole batch
     and every rank.
     """
+    top = _rank("rank top", top)
     g, y, lam = _c_factors(top, points)
     return [g[j, lam[:(j + 1) ** 2]] * y[:(j + 1) ** 2]
             for j in range(top + 1)]
@@ -230,7 +237,7 @@ def _c_rank(j, points):
 
 def c_components(j, v):
     """All (j+1)^2 C-harmonic values at v-hat, flat over lam^2 + lam + alpha."""
-    return _c_rank(j, _point(v)[None])[:, 0]
+    return _c_rank(_rank("rank j", j), _point(v)[None])[:, 0]
 
 
 def h_components(j, v):
@@ -252,7 +259,6 @@ def _h_to_c_entries(j):
     lam; slots past an entry's own range hold weight 0.  Every coefficient
     comes from one _cgc3_array call.  Held read-only.
     """
-    _check_rank(j)
     lam, alpha = _c_labels(j)[:2]
     k = np.arange(j + 1)
     tmu, tlam, talpha = np.broadcast_arrays(2 * k - j, 2 * lam[:, None],
@@ -263,13 +269,13 @@ def _h_to_c_entries(j):
     w_row[live] = _cgc3_array(j, tmu[live], tlam[live], talpha[live], j,
                               tnu[live])
     w_row *= np.sqrt((2.0 * lam + 1.0) / (j + 1.0))[:, None]
-    col = np.where(live, h_flat_index(j, tmu, tnu), 0)
+    col = np.where(live, _h_index(j, tmu, tnu), 0)
     # Column (mu, nu) = (a, b) on the (j+1) x (j+1) grid has alf = b - a and
     # meets row lam^2 + lam + alf, slot a, of the layout above.
     a, b = np.divmod(np.arange((j + 1) ** 2), j + 1)
     alf = (b - a)[:, None]
     ok = k >= np.abs(alf)
-    row = np.where(ok, c_flat_index(k, alf), 0)
+    row = np.where(ok, _c_index(k, alf), 0)
     w_col = np.where(ok, w_row[row, a[:, None]], 0.0)
     out = (col, w_row, row, w_col)
     for arr in out:
@@ -297,6 +303,7 @@ def h_to_c_matrix(j):
     H = T^T C.  Returned dense, built from the entries c_from_h and h_from_c
     read.
     """
+    j = _rank("rank j", j)
     col, w_row = _h_to_c_entries(j)[:2]
     n = (j + 1) ** 2
     t = np.zeros((n, n))
@@ -310,18 +317,21 @@ def c_from_h(j, h_values):
 
     h_values may carry trailing axes; its leading length must be (j+1)^2.
     """
+    j = _rank("rank j", j)
     col, w_row = _h_to_c_entries(j)[:2]
     return _gather(j, col, w_row, h_values)
 
 
 def h_from_c(j, c_values):
     """H-component array from the C-component array (inverse of c_from_h)."""
+    j = _rank("rank j", j)
     row, w_col = _h_to_c_entries(j)[2:]
     return _gather(j, row, w_col, c_values)
 
 
 def scalar_product_h(j, a, b):
     """(H_j(a-hat) . H_j(b-hat)) = sum (-1)^(mu-nu) H_{j mu nu}(a) H_{j,-mu,-nu}(b)."""
+    j = _rank("rank j", j)
     ha, hb = h_from_c(j, _c_rank(j, np.stack([_point(a), _point(b)]))).T
     # (-mu, -nu) sits at the reversed flat index.
     row, col = np.divmod(np.arange((j + 1) ** 2), j + 1)
@@ -335,6 +345,7 @@ def scalar_product_c(j, a, b):
     Equals the Gegenbauer polynomial C^1_j(cos gamma) of the 4D angle
     between a and b.
     """
+    j = _rank("rank j", j)
     ca, cb = _c_rank(j, np.stack([_point(a), _point(b)])).T
     lam, alpha, _, _, flip = _c_labels(j)
     sign = 1.0 - 2.0 * ((lam + alpha) % 2)
@@ -347,9 +358,6 @@ def cos4(a, b):
     Each vector is divided by its largest |component| first, so no product
     overflows.
     """
-    a, b = _point(a), _point(b)
-    sa, sb = np.max(np.abs(a)), np.max(np.abs(b))
-    if sa == 0.0 or sb == 0.0:
-        raise ValueError("zero vector has no direction")
-    a, b = a / sa, b / sb
+    a, b = _point(a, nonzero=True), _point(b, nonzero=True)
+    a, b = a / np.max(np.abs(a)), b / np.max(np.abs(b))
     return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))

@@ -20,10 +20,11 @@ import math
 
 import numpy as np
 
-from .coupling import bipolar_values, cgc4_c, cgc4_c_closed, rank_triangle_ok
+from .angular import _triangle_ok
+from .coupling import bipolar_values, cgc4_c, cgc4_c_closed
 from .harmonics import c_components, c_table
-from .special import (DEFAULT_SERIES, SeriesControl, hyp0f1, hyp2f1,
-                      log_factorial, pochhammer)
+from .special import (DEFAULT_SERIES, SeriesControl, _finite, _rank, _tol,
+                      hyp0f1, hyp2f1, log_factorial)
 
 __all__ = [
     "ExpansionSpec", "CoeffTable", "admissible_pair", "plane_wave_radial",
@@ -40,28 +41,15 @@ def _terminates(n, j):
     return k >= 0 and abs(d - 2 * k) < 1e-12
 
 
-def _integer(name, value):
-    """value as an int; 2, 2.0 and numpy integers pass, 2.5 or nan raise."""
-    if not (math.isfinite(value) and value == int(value)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 class ExpansionSpec:
     """Parameters of one translated-harmonic expansion r^n C_j."""
 
     def __init__(self, n, j, r1, r2, l_max=30, ctl=DEFAULT_SERIES):
-        if not all(math.isfinite(x) for x in (n, r1, r2)):
-            raise ValueError(f"n, r1 and r2 must be finite, got "
-                             f"{n!r}, {r1!r}, {r2!r}")
-        j = _integer("rank j", j)
-        l_max = _integer("l_max", l_max)
-        if j < 0:
-            raise ValueError("rank j must be nonnegative")
+        _finite(n=n, r1=r1, r2=r2)
+        j = _rank("rank j", j)
+        l_max = _rank("l_max", l_max, j)
         if r1 < 0 or r2 <= 0:
             raise ValueError("need r1 >= 0 and r2 > 0")
-        if l_max < j:
-            raise ValueError("l_max must be at least j")
         if not isinstance(ctl, SeriesControl):
             raise TypeError("ctl must be a SeriesControl")
         if _terminates(n, j):
@@ -90,9 +78,10 @@ class ExpansionSpec:
 def admissible_pair(j, l, lp):
     """Whether (l, l') can carry weight in a rank-j expansion.
 
-    Requires j + l + l' even and the triangle |l - l'| <= j <= l + l'.
+    Requires j + l + l' even and the triangle |l - l'| <= j <= l + l'.  The
+    ranks must be nonnegative integers (ValueError otherwise).
     """
-    return l >= 0 and lp >= 0 and rank_triangle_ok(l, lp, j)
+    return _triangle_ok(_rank("l", l), _rank("lp", lp), _rank("rank j", j))
 
 
 def plane_wave_radial(l, a, r, ctl=DEFAULT_SERIES):
@@ -100,8 +89,8 @@ def plane_wave_radial(l, a, r, ctl=DEFAULT_SERIES):
 
     Equals (a^l r^l / (2^l l!)) 0F1(l+2; a^2 r^2 / 4).
     """
-    if l < 0:
-        raise ValueError("l must be nonnegative")
+    l = _rank("l", l)
+    _finite(a=a, r=r)
     x = a * r
     if x == 0.0:
         return float(l == 0)
@@ -116,9 +105,11 @@ def scalar_power_coeff(n, l):
     """Coefficient of (ar)^n C_l(a-hat).C_l(r-hat) in (a.r)^n.
 
     Nonzero only for l = n, n-2, ..., down to 0 or 1; the value is
-    n! 2(l+1) / ((n-l)!! (n+l+2)!!).
+    n! 2(l+1) / ((n-l)!! (n+l+2)!!), and exactly 0 for l > n or n - l odd.
+    n and l must be nonnegative integers (ValueError otherwise).
     """
-    if n < 0 or l < 0 or l > n or (n - l) % 2:
+    n, l = _rank("n", n), _rank("l", l)
+    if l > n or (n - l) % 2:
         return 0.0
     # (2m)!! = 2^m m! turns the value into 2 (l+1) C(n+1, (n-l)/2) /
     # ((n+1) 2^(n+1)): one correctly rounded division of exact integers,
@@ -130,21 +121,37 @@ def scalar_power_coeff(n, l):
 def laplacian_power(n, j, k):
     """Scalar factor in Delta^k r^n C_j = factor * r^{n-2k} C_j (4D Laplacian).
 
-    factor = 2^{2k} ((-2-j-n)/2)_k ((j-n)/2)_k.
+    factor = 2^{2k} ((-2-j-n)/2)_k ((j-n)/2)_k, exactly 0 when a Pochhammer
+    factor crosses zero.  A value beyond float range raises ValueError.
     """
-    if j < 0 or k < 0:
-        raise ValueError("j and k must be nonnegative")
-    return (4.0 ** k * pochhammer((-2.0 - j - n) / 2.0, k)
-            * pochhammer((j - n) / 2.0, k))
+    _finite(n=n)
+    j, k = _rank("rank j", j), _rank("k", k)
+    # One running product of 2 (a + i) factors, renormalised by frexp after
+    # each, so no partial product overflows; a zero factor stays exact.
+    mant, exp = 1.0, 0
+    for i in range(k):
+        for x in ((-2.0 - j - n) / 2.0 + i, (j - n) / 2.0 + i):
+            mant, e = math.frexp(2.0 * mant * x)
+            exp += e
+    try:
+        return math.ldexp(mant, exp)
+    except OverflowError:
+        raise ValueError(f"laplacian_power({n}, {j}, k = {k}) exceeds the "
+                         f"float range") from None
 
 
 def b_coeff(spec, l, lp):
     """Multipole coefficient B^{(n j)}_{l lp} of spec's expansion.
 
-    Inadmissible (l, lp) pairs give exactly 0.
+    Inadmissible (l, lp) pairs give exactly 0, and so do the pairs past the
+    end of a terminating expansion, where a Pochhammer factor crosses zero.
+    l and lp must be nonnegative integers (ValueError otherwise).
     """
     n, j = spec.n, spec.j
-    if not admissible_pair(j, l, lp):
+    if type(l) is not int or type(lp) is not int:  # Python ints skip it
+        l, lp = _rank("l", l), _rank("lp", lp)
+    if not _triangle_ok(l, lp, j):
+        _rank("l", l), _rank("lp", lp)  # negative ranks fail the triangle
         return 0.0
     ka = (j + l - lp) // 2
     kb = (l + lp - j) // 2
@@ -175,9 +182,17 @@ class CoeffTable:
 
     def __init__(self, entries, terminated, spec=None, j=None):
         self.entries = dict(entries)
+        # Keys must be rank pairs; tables of Python ints skip the full check.
+        if not all(type(l) is type(lp) is int and l >= 0 <= lp
+                   for l, lp in self.entries):
+            self.entries = {(_rank("l", l), _rank("lp", lp)): v
+                            for (l, lp), v in self.entries.items()}
+        if not all(map(math.isfinite, self.entries.values())):
+            _finite(**{f"B{key}": v for key, v in self.entries.items()})
         self.terminated = bool(terminated)
         self.spec = spec
-        self.j = spec.j if spec is not None else j
+        self.j = spec.j if spec is not None else (
+            None if j is None else _rank("rank j", j))
 
     def __len__(self):
         return len(self.entries)
@@ -254,6 +269,8 @@ def expand_radial_function(taylor, j, r1, r2, l_max=30, ctl=DEFAULT_SERIES):
     ``taylor[n]`` multiplies r^n; the table accumulates
     C^{(j)}_{l lp} = sum_n taylor[n] B^{(n j)}_{l lp}.
     """
+    j, l_max, taylor = _rank("rank j", j), _rank("l_max", l_max), list(taylor)
+    _finite(r1=r1, r2=r2, **{f"taylor[{n}]": f for n, f in enumerate(taylor)})
     entries = {}
     terminated = True
     for n, fn in enumerate(taylor):
@@ -275,6 +292,7 @@ def eval_expansion(table, j, r1hat, r2hat):
     shape, which give one column per pair: shape ((j+1)^2, N).  A table
     that records its rank must be evaluated at that rank.
     """
+    j = _rank("rank j", j)
     if table.j is not None and table.j != j:
         raise ValueError(f"table holds rank j = {table.j}, not j = {j}")
     r1 = np.asarray(r1hat, dtype=float)
@@ -294,14 +312,9 @@ def eval_expansion(table, j, r1hat, r2hat):
     return out if r1.ndim == 2 else out[:, 0]
 
 
-def _check_tol(tol):
-    # Written so that a NaN tol fails too.
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-
-
 def check_entry(check, params, expected, observed, tol):
     """One serializable verification record, judged against tol."""
+    _tol("tol", tol)
     abs_err = abs(expected - observed)
     rel_err = abs_err / abs(expected) if expected else abs_err
     return {
@@ -322,9 +335,9 @@ def expansion_checks(tol, seed):
     Each record is judged against max(tol, 1e-8), the truncation floor of
     the l_max = 30 and 32 tables, and says so in its "tol".
     """
-    _check_tol(tol)
+    _tol("tol", tol)
     checks = []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_rank("seed", seed))
     for (n, j) in ((1, 1), (2, 0), (3, 1), (-2, 0)):
         spec = ExpansionSpec(n, j, 0.5, 1.0,
                              l_max=30 if n > 0 else 32)
@@ -352,9 +365,9 @@ def coupling_checks(tol, seed):
     Each record is judged against max(tol, 1e-12), the rounding floor of the
     Racah sums, and says so in its "tol".
     """
-    _check_tol(tol)
+    _tol("tol", tol)
     checks = []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_rank("seed", seed))
     # CGC contraction orthogonality on random columns.
     worst = 0.0
     for _ in range(20):

@@ -1,12 +1,17 @@
-"""Scalar special functions used throughout the package.
+"""Scalar special functions used throughout the package, and its input
+contract.
 
 Factorial ladders, Pochhammer symbols and the hypergeometric series
 0F1 / 2F1.  Everything here is pure and reentrant; the log-factorial
-table is filled once at import time.
+table is filled once at import time.  The checks below are the one set
+every public function runs on its arguments; each ValueError names one.
 """
 
 import math
 from dataclasses import dataclass
+from numbers import Real
+
+import numpy as np
 
 __all__ = [
     "SeriesControl",
@@ -23,6 +28,56 @@ class ConvergenceError(RuntimeError):
     """A series failed to converge within the allotted number of terms."""
 
 
+def _rank(name, value, low=0):
+    """value as an int >= low (any int for low=None); 2, 2.0 and numpy
+    integers pass, 2.5 or nan raise."""
+    if type(value) is not int:
+        if not (isinstance(value, Real) and math.isfinite(value)
+                and value == int(value)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def _finite(**values):
+    """Raise for the first of values (reals or arrays) that is NaN or inf."""
+    for name, value in values.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _tol(name, tol):
+    if not 0.0 < tol < math.inf:  # a NaN tol fails too
+        raise ValueError(f"{name} must be finite and > 0, got {tol!r}")
+
+
+def validate_jm(tj, tm, label=""):
+    """A doubled (2j, 2m) pair as ints: 2j >= 0, |m| <= j, j - m integer.
+    label (say "1") tells the pairs of one call apart in the messages."""
+    if type(tj) is not int or type(tm) is not int or tj < 0:  # ints skip
+        tj, tm = _rank(f"2j{label}", tj), _rank(f"2m{label}", tm, None)
+    if abs(tm) > tj or (tj - tm) % 2 != 0:
+        raise ValueError(f"invalid projection 2m{label} = {tm} for "
+                         f"2j{label} = {tj}")
+    return tj, tm
+
+
+def _c_label(j, lam, alpha, label=""):
+    """A C label (j, lam, alpha) as ints: 0 <= lam <= j, |alpha| <= lam."""
+    if not (type(j) is type(lam) is type(alpha) is int and 0 <= lam <= j):
+        lam, j = _rank(f"lambda{label}", lam), _rank(f"j{label}", j)
+        alpha = _rank(f"alpha{label}", alpha, None)
+        if lam > j:
+            raise ValueError(f"invalid lambda{label} = {lam} for j{label} = "
+                             f"{j}")
+    if abs(alpha) > lam:
+        raise ValueError(f"invalid projection alpha = {alpha} for lambda = "
+                         f"{lam}: need |alpha{label}| <= lambda{label}")
+    return j, lam, alpha
+
+
 @dataclass(frozen=True)
 class SeriesControl:
     """Truncation control for infinite series."""
@@ -31,10 +86,9 @@ class SeriesControl:
     max_terms: int = 10000
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
+        _tol("tol", self.tol)
+        object.__setattr__(self, "max_terms",
+                           _rank("max_terms", self.max_terms, 1))
 
 
 DEFAULT_SERIES = SeriesControl()
@@ -48,8 +102,8 @@ for _n in range(2, _LOGFAC_CUTOFF + 1):
 
 def log_factorial(n):
     """ln(n!) for integer n >= 0."""
-    if n < 0:
-        raise ValueError(f"log_factorial: n must be >= 0, got {n}")
+    if type(n) is not int or n < 0:  # Python ints skip the full check
+        n = _rank("n", n)
     if n <= _LOGFAC_CUTOFF:
         return _LOGFAC[n]
     return math.lgamma(n + 1.0)
@@ -61,10 +115,9 @@ def pochhammer(a, k):
     Computed as a direct product, which keeps the exact zero when a is a
     nonpositive integer and the product crosses it.
     """
-    if k < 0:
-        raise ValueError(f"pochhammer: k must be >= 0, got {k}")
+    _finite(a=a)
     result = 1.0
-    for i in range(k):
+    for i in range(_rank("k", k)):
         result *= a + i
     return result
 
@@ -79,18 +132,22 @@ def hyp2f1(a, b, c, z, ctl=DEFAULT_SERIES):
     Terminating series (a or b a nonpositive integer) are summed over all
     their finite terms, whatever ctl says; otherwise partial sums run until
     the relative change drops below ctl.tol, which requires |z| < 1, or
-    raise ConvergenceError after ctl.max_terms terms.
+    raise ConvergenceError after ctl.max_terms terms.  A non-finite argument,
+    or a c that is a nonpositive integer the series reaches, raises
+    ValueError.
     """
+    if not math.isfinite(a + b + c + z):  # one test for all four
+        _finite(a=a, b=b, c=c, z=z)
     n_terms = None
     if _nonpositive_int(a):
         n_terms = int(-a)
     if _nonpositive_int(b):
         n_terms = int(-b) if n_terms is None else min(n_terms, int(-b))
     terminating = n_terms is not None
+    if _nonpositive_int(c) and not (terminating and n_terms <= -c):
+        raise ValueError(f"hyp2f1: c = {c} is a nonpositive integer that "
+                         f"the series reaches")
     if not terminating:
-        if _nonpositive_int(c):
-            raise ValueError("hyp2f1: c is a nonpositive integer and the "
-                             "series does not terminate")
         if abs(z) >= 1.0:
             raise ValueError(f"hyp2f1: |z| >= 1 with non-terminating series "
                              f"(z = {z})")
@@ -110,6 +167,7 @@ def hyp2f1(a, b, c, z, ctl=DEFAULT_SERIES):
 
 def hyp0f1(c, z, ctl=DEFAULT_SERIES):
     """Confluent limit series 0F1(; c; z) = sum_k z^k / ((c)_k k!)."""
+    _finite(c=c, z=z)
     if _nonpositive_int(c):
         raise ValueError(f"hyp0f1: c must not be a nonpositive integer, "
                          f"got {c}")

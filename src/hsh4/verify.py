@@ -21,12 +21,13 @@ from scipy.special import (eval_chebyu, eval_gegenbauer, eval_legendre,
                            gammaln, sph_harm_y)
 
 from .coupling import bipolar_plan
-from .harmonics import c_flat_index, h_to_c_matrix
-from .multipole import _check_tol, _integer, check_entry
+from .harmonics import _c_index, _points, h_to_c_matrix
+from .multipole import check_entry
+from .special import _finite, _rank, _tol
 
 __all__ = [
     "QuadratureGrid", "build_grid", "gram_matrix", "orthogonality_report",
-    "project_multipole",
+    "project_multipole", "c_harmonics_at_vectors",
 ]
 
 _S3_VOLUME = 2.0 * math.pi ** 2
@@ -41,6 +42,7 @@ class QuadratureGrid:
     """
 
     def __init__(self, theta0, w0, theta, w1, phi, w2, exact_degree):
+        _finite(theta0=theta0, w0=w0, theta=theta, w1=w1, phi=phi, w2=w2)
         self.theta0 = theta0
         self.w0 = w0
         self.theta = theta
@@ -85,8 +87,7 @@ def _chebyshev2(n):
 
 def build_grid(n0, n1, n2):
     """Product grid with n0 x n1 x n2 nodes; total weight is exactly 2 pi^2."""
-    if min(n0, n1, n2) < 1:
-        raise ValueError("node counts must be positive")
+    n0, n1, n2 = _rank("n0", n0, 1), _rank("n1", n1, 1), _rank("n2", n2, 1)
     theta0, w0 = _chebyshev2(n0)
     x1, w1 = np.polynomial.legendre.leggauss(n1)
     theta = np.arccos(x1)
@@ -125,9 +126,7 @@ def _angular(lam_max, theta, phi):
 
 def c_harmonics_at_vectors(j, vecs):
     """C-family values at an (N, 4) array of nonzero, finite 4-vectors."""
-    vecs = np.asarray(vecs, dtype=float)
-    if not (np.isfinite(vecs).all() and np.any(vecs, axis=-1).all()):
-        raise ValueError("zero or non-finite vector has no direction")
+    j, vecs = _rank("rank j", j), _points(vecs, nonzero=True)
     x, y, z, z0 = np.moveaxis(vecs, -1, 0)
     rho_xy = np.hypot(x, y)
     theta0 = np.arctan2(np.hypot(rho_xy, z), z0)
@@ -156,6 +155,7 @@ def gram_matrix(j_max, grid):
     Ag[(lam, alpha), (lam', alpha')], with Rg the theta0 sum of w0 R conj(R)
     and Ag the (theta, phi) sum of w1 w2 A conj(A).
     """
+    j_max = _rank("j_max", j_max)
     ranks = np.arange(j_max + 1)
     j = np.repeat(ranks, (ranks + 1) ** 2)
     # Rank j's rows start after sum_{r<j} (r+1)^2 = j (j+1) (2j+1)/6 others.
@@ -173,9 +173,8 @@ def orthogonality_report(j_max, grid, tol=1e-10):
     Returns (checks, grams): a list of JSON-ready check records and the raw
     Gram matrices per family.
     """
-    if j_max < 0:
-        raise ValueError(f"j_max must be nonnegative, got {j_max}")
-    _check_tol(tol)
+    j_max = _rank("j_max", j_max)
+    _tol("tol", tol)
     sizes = [(j + 1) ** 2 for j in range(j_max + 1)]
     diag_expected = np.concatenate(
         [np.full(d, _S3_VOLUME / (j + 1)) for j, d in enumerate(sizes)])
@@ -219,7 +218,7 @@ def _project_one(n, j, r1, r2, l, lp, x2):
     # nonzero; with the (0, 0) output, alpha2 = 0 and lam2 = lam1 as well.
     i1, _, iout, coeff = bipolar_plan("c", l, lp, j)
     lam = np.sqrt(i1).astype(np.intp)
-    sel = (iout == c_flat_index(0, 0)) & (i1 == c_flat_index(lam, 0))
+    sel = (iout == _c_index(0, 0)) & (i1 == _c_index(lam, 0))
     if not sel.any():
         return 0.0
     # Integrated exactly over x2, the meridian integrand is a polynomial of
@@ -268,14 +267,9 @@ def project_multipole(n, j, r1, r2, l, lp, grid=None, seeds=(7, 19),
     Negative or non-integer ranks raise ValueError; a pair outside the
     triangle rule gives exactly 0.0.
     """
-    if not all(math.isfinite(x) for x in (n, r1, r2)):
-        raise ValueError(f"n, r1 and r2 must be finite, got "
-                         f"{n!r}, {r1!r}, {r2!r}")
-    j, l, lp = (_integer(f"rank {name}", v)
-                for name, v in (("j", j), ("l", l), ("lp", lp)))
-    if min(j, l, lp) < 0:
-        raise ValueError(f"ranks j, l, lp must be nonnegative, got "
-                         f"{j}, {l}, {lp}")
+    _finite(n=n, r1=r1, r2=r2)
+    j, l, lp = _rank("rank j", j), _rank("rank l", l), _rank("rank lp", lp)
+    _tol("agree_tol", agree_tol)
     if r1 >= r2:
         raise ValueError("projection requires r1 < r2")
     if grid is None:
@@ -288,7 +282,6 @@ def project_multipole(n, j, r1, r2, l, lp, grid=None, seeds=(7, 19),
         raise RuntimeError(f"projection rules gave non-finite values "
                            f"{coarse}, {fine}")
     miss = abs(fine - coarse)
-    # Written so that a NaN agree_tol fails the gate too.
     if not 10.0 * miss <= agree_tol * max(1.0, abs(fine)):
         raise RuntimeError(
             f"nested projection rules disagree by {miss:.3e}; "

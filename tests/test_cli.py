@@ -10,6 +10,7 @@ import sys
 
 import numpy as np
 import pytest
+import yaml
 
 import hsh4
 from hsh4.cli import main
@@ -277,3 +278,22 @@ def test_analytic_route_loads_no_scipy():
     assert result["codes"] == [0] * 7
     assert result["analytic"] == []
     assert result["oracle"]
+
+
+def test_ci_console_script_step_replays():
+    # The "Console script" step of the CI workflow, run as one bash script
+    # with the hsh4 console script mapped to `python -m hsh4.cli`.
+    root = pathlib.Path(__file__).resolve().parents[1]
+    workflow = yaml.safe_load((root / ".github/workflows/tests.yml")
+                              .read_text())
+    steps = [step for job in workflow["jobs"].values()
+             for step in job["steps"] if step.get("name") == "Console script"]
+    assert len(steps) == 1
+    script = 'hsh4() { "$HSH4_PYTHON" -m hsh4.cli "$@"; }\n' + steps[0]["run"]
+    proc = subprocess.run(
+        ["bash", "-eo", "pipefail", "-c", script], capture_output=True,
+        text=True, timeout=600,
+        env={**os.environ, "PYTHONPATH": str(root / "src"),
+             "HSH4_PYTHON": sys.executable})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count("error: ") == 3  # the three exit-2 lines

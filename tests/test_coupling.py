@@ -275,6 +275,8 @@ def _loop_plan(family, j1, j2, j):
     """{(i1, i2, iout): coeff} from one scalar cgc4_h / cgc4_c per term."""
     terms = {}
     if family == "h":
+        if (j1 + j2 + j) % 2:  # no (2mu, 2nu) is a valid rank-j label
+            return terms
         for tmu1 in range(-j1, j1 + 1, 2):
             for tnu1 in range(-j1, j1 + 1, 2):
                 for tmu2 in range(-j2, j2 + 1, 2):

@@ -1,6 +1,7 @@
 """Tests for the multipole expansion engine."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -131,6 +132,27 @@ def test_laplacian_power_harmonic_cases():
         assert laplacian_power(j, j, 1) == 0.0
         assert laplacian_power(-j - 2, j, 1) == 0.0
     assert laplacian_power(2, 0, 1) == pytest.approx(8.0)
+
+
+@pytest.mark.parametrize("k", [1, 60, 300, 600])
+@pytest.mark.parametrize("n,j", [(-2, 0), (0.5, 0), (3, 1), (-3.5, 2),
+                                 (1, 3), (7.0, 1)])
+def test_laplacian_power_vs_mpmath(n, j, k):
+    # 2^{2k} (a)_k (b)_k: exactly 0 once a factor crosses zero, and past
+    # float range a ValueError that names k instead of an OverflowError
+    import mpmath
+    with mpmath.workdps(40):
+        n_mp = mpmath.mpf(n)
+        ref = (mpmath.mpf(4) ** k * mpmath.rf((-2 - j - n_mp) / 2, k)
+               * mpmath.rf((j - n_mp) / 2, k))
+    if ref == 0:
+        assert laplacian_power(n, j, k) == 0.0
+    elif abs(ref) > sys.float_info.max:
+        with pytest.raises(ValueError, match=f"k = {k}"):
+            laplacian_power(n, j, k)
+    else:
+        assert laplacian_power(n, j, k) == pytest.approx(float(ref),
+                                                         rel=1e-13)
 
 
 def test_laplacian_power_finite_difference():
