@@ -351,7 +351,9 @@ def gen_character(tl, lam, omega):
     with tl = 2l doubled.  Accepts numpy arrays for omega.  The factor after
     sqrt(2l+1) is a half-integer Legendre row of _legendre_rows.
     """
-    tl, lam, _ = _c_label(tl, lam, 0)
+    tl, lam = _rank("2l", tl), _rank("lambda", lam)
+    if lam > tl:
+        raise ValueError(f"need lambda <= 2l, got lambda = {lam}, 2l = {tl}")
     _finite(omega=omega)
     (omega,), shape = _flat_points(omega)
     rows = _legendre_rows(tl, range(lam, lam + 1), np.cos(0.5 * omega),

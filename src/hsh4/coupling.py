@@ -292,12 +292,8 @@ def bipolar_values(family, j1, j2, j, comps1, comps2):
     comps1 = np.asarray(comps1)
     comps2 = np.asarray(comps2)
     trailing = comps1.shape[1:]
-    if type(j) is not int:  # Python ints skip the check
-        j = _rank("j", j)
-    if not _triangle_ok(j1, j2, j):
-        bipolar_plan(family, j1, j2, j)  # raises for a bad family or rank
-        return np.zeros(((j + 1) ** 2,) + trailing, dtype=complex)
     i1, i2, iout, coeff = bipolar_plan(family, j1, j2, j)
+    j = _rank("j", j)
     out = np.zeros(((j + 1) ** 2,) + trailing, dtype=complex)
     if len(coeff):
         c = coeff.reshape((-1,) + (1,) * len(trailing))

@@ -90,7 +90,9 @@ def _hyperangles(points, nonzero=False):
     x, y, z, z0 = (v / np.where(scale > 0.0, scale, 1.0)[:, None]).T
     rho_xy = np.hypot(x, y)
     rho = np.hypot(rho_xy, z)
-    return (scale * np.hypot(rho, z0), np.arctan2(rho, z0),
+    with np.errstate(over="ignore"):  # an r past float max is inf
+        r = scale * np.hypot(rho, z0)
+    return (r, np.arctan2(rho, z0),
             np.arctan2(rho_xy, z), np.arctan2(y, x) % (2.0 * np.pi))
 
 
@@ -99,7 +101,7 @@ def to_hyperangles(v):
 
     theta0 = arccos(z0/r), theta = atan2(hypot(x, y), z), phi = atan2(y, x)
     mapped to [0, 2 pi).  The zero vector maps to all-zero angles; a
-    non-finite component raises ValueError.
+    non-finite component, or a length past float max, raises ValueError.
     """
     return HyperAngles(*(float(a[0]) for a in _hyperangles(_point(v)[None])))
 

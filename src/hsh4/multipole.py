@@ -148,10 +148,8 @@ def b_coeff(spec, l, lp):
     l and lp must be nonnegative integers (ValueError otherwise).
     """
     n, j = spec.n, spec.j
-    if type(l) is not int or type(lp) is not int:  # Python ints skip it
-        l, lp = _rank("l", l), _rank("lp", lp)
+    l, lp = _rank("l", l), _rank("lp", lp)
     if not _triangle_ok(l, lp, j):
-        _rank("l", l), _rank("lp", lp)  # negative ranks fail the triangle
         return 0.0
     ka = (j + l - lp) // 2
     kb = (l + lp - j) // 2
@@ -181,14 +179,9 @@ class CoeffTable:
     """A finite table of expansion coefficients: (l, lp) -> value."""
 
     def __init__(self, entries, terminated, spec=None, j=None):
-        self.entries = dict(entries)
-        # Keys must be rank pairs; tables of Python ints skip the full check.
-        if not all(type(l) is type(lp) is int and l >= 0 <= lp
-                   for l, lp in self.entries):
-            self.entries = {(_rank("l", l), _rank("lp", lp)): v
-                            for (l, lp), v in self.entries.items()}
-        if not all(map(math.isfinite, self.entries.values())):
-            _finite(**{f"B{key}": v for key, v in self.entries.items()})
+        self.entries = {(_rank("l", l), _rank("lp", lp)): v
+                        for (l, lp), v in dict(entries).items()}
+        _finite(entries=np.array(list(self.entries.values())))
         self.terminated = bool(terminated)
         self.spec = spec
         self.j = spec.j if spec is not None else (

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -257,6 +258,17 @@ def test_huge_vector_keeps_its_direction():
     for lam, alpha in ((0, 0), (1, -1), (2, 1)):
         assert hsh_c(2, lam, alpha, [1e200, 0.0, 0.0, 1e200]) == \
             pytest.approx(hsh_c(2, lam, alpha, unit), abs=1e-15)
+
+
+def test_vector_past_float_max_raises_without_a_warning():
+    # r overflows to inf; its direction is still well defined
+    v = [1e308] * 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="r must be finite"):
+            to_hyperangles(v)
+        assert hsh_c(2, 1, 1, v) == pytest.approx(
+            hsh_c(2, 1, 1, [1.0] * 4), abs=1e-15)
 
 
 @pytest.mark.parametrize("v", [[math.inf, 0.0, 0.0, 1.0],
