@@ -27,7 +27,8 @@ __all__ = [
 
 
 def _triangle_ok(ta, tb, tc):
-    return abs(ta - tb) <= tc <= ta + tb and (ta + tb + tc) % 2 == 0
+    """|a - b| <= c <= a + b and a + b + c even; elementwise on arrays."""
+    return (abs(ta - tb) <= tc) & (tc <= ta + tb) & ((ta + tb + tc) % 2 == 0)
 
 
 def _log_triangle(ta, tb, tc):
@@ -140,9 +141,11 @@ def wigner9j(ta, tb, tc, td, te, tf, tg, th, tk):
 # slots past an element's own range are masked.  Terms are added in
 # ascending order, as in the scalar loops above; those stay as the
 # single-coefficient route and as the reference the array forms are tested
-# against.
+# against.  _cg_entries enumerates the nonzero CG of a batch of triples for
+# both bipolar plans and the H-C basis change of harmonics.
 
 _LOGFAC_ARRAY = np.array(_LOGFAC)
+_CG_RUN = 1 << 14  # entries per _cgc3_array call of _cg_entries
 
 
 def _logfac_at(n, mask):
@@ -163,11 +166,6 @@ def _logfac_at(n, mask):
 
 def _int_arrays(*args):
     return np.broadcast_arrays(*(np.asarray(x, dtype=np.intp) for x in args))
-
-
-def _triangle_mask(ta, tb, tc):
-    return ((np.abs(ta - tb) <= tc) & (tc <= ta + tb)
-            & ((ta + tb + tc) % 2 == 0))
 
 
 def _triangle_args(ta, tb, tc):
@@ -216,7 +214,7 @@ def _alternating_sum(log_pre, base, step, sign, k_min, k_max, ok):
 def _cgc3_array(tj1, tm1, tj2, tm2, tj, tm):
     """cgc3 over broadcast arrays of doubled arguments."""
     tj1, tm1, tj2, tm2, tj, tm = _int_arrays(tj1, tm1, tj2, tm2, tj, tm)
-    ok = (_triangle_mask(tj1, tj2, tj) & (tm1 + tm2 == tm)
+    ok = (_triangle_ok(tj1, tj2, tj) & (tm1 + tm2 == tm)
           & _jm_mask(tj1, tm1) & _jm_mask(tj2, tm2) & _jm_mask(tj, tm))
     lf = _logfac_at(np.stack(_triangle_args(tj1, tj2, tj)
                              + [(tj1 + tm1) // 2, (tj1 - tm1) // 2,
@@ -238,11 +236,39 @@ def _cgc3_array(tj1, tm1, tj2, tm2, tj, tm):
                             k_min, k_max, ok)
 
 
+def _cg_entries(tj1, tj2, tj):
+    """Every nonzero C^{j m}_{j1 m1, j2 m2} of a batch of doubled triples.
+
+    tj1, tj2 and tj broadcast to the batch; a triple that fails the
+    triangle rule has none.  Returns flat arrays (t, tm1, tm2, value), t the
+    triple's position in the flattened batch, ordered by t, then m, then m1.
+    Each (m, m1) grid is enumerated with m2 = m - m1.  _cgc3_array sums
+    runs of _CG_RUN entries, which bounds its temporaries and pads its k
+    axis only to the longest range in each run.
+    """
+    tj1, tj2, tj = (a.ravel() for a in _int_arrays(tj1, tj2, tj))
+    size = (tj + 1) * (tj1 + 1)
+    t = np.repeat(np.arange(len(size)), size)
+    # Slot s of triple t is (m, m1) on its row-major (2j+1) x (2j1+1) grid.
+    s = np.arange(len(t)) - (np.cumsum(size) - size)[t]
+    im, im1 = np.divmod(s, tj1[t] + 1)
+    tm1 = 2 * im1 - tj1[t]
+    tm2 = 2 * im - tj[t] - tm1
+    live = np.abs(tm2) <= tj2[t]
+    t, tm1, tm2 = t[live], tm1[live], tm2[live]
+    args = (tj1[t], tm1, tj2[t], tm2, tj[t], tm1 + tm2)
+    value = np.empty(len(t))
+    for i in range(0, len(t), _CG_RUN):
+        value[i:i + _CG_RUN] = _cgc3_array(*(a[i:i + _CG_RUN] for a in args))
+    nz = value != 0.0
+    return t[nz], tm1[nz], tm2[nz], value[nz]
+
+
 def _wigner6j_array(ta, tb, tc, td, te, tf):
     """wigner6j over broadcast arrays of doubled arguments."""
     ta, tb, tc, td, te, tf = _int_arrays(ta, tb, tc, td, te, tf)
     triads = ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc))
-    ok = np.logical_and.reduce([_triangle_mask(*t) for t in triads])
+    ok = np.logical_and.reduce([_triangle_ok(*t) for t in triads])
     lf = _logfac_at(np.stack([n for t in triads for n in _triangle_args(*t)]),
                     ok)
     log_delta = sum(_log_triangle_rows(lf[i:i + 4]) for i in range(0, 16, 4))
@@ -262,7 +288,7 @@ def _wigner9j_array(ta, tb, tc, td, te, tf, tg, th, tk):
                                                      tg, th, tk)
     rows = ((ta, tb, tc), (td, te, tf), (tg, th, tk))
     cols = ((ta, td, tg), (tb, te, th), (tc, tf, tk))
-    ok = np.logical_and.reduce([_triangle_mask(*t) for t in rows + cols])
+    ok = np.logical_and.reduce([_triangle_ok(*t) for t in rows + cols])
     tx_min = np.maximum.reduce([np.abs(ta - tk), np.abs(tb - tf),
                                 np.abs(td - th)])
     tx_max = np.minimum.reduce([ta + tk, tb + tf, td + th])

@@ -40,7 +40,11 @@ def _fmt(x):
 
 def default_tol():
     """Default verification tolerance; HSH4_TOL overrides."""
-    return float(os.environ.get("HSH4_TOL", "1e-10"))
+    text = os.environ.get("HSH4_TOL", "1e-10")
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"HSH4_TOL must be a number, got {text!r}") from None
 
 
 def _parse_point(text):

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import (_cgc3_array, _triangle_ok, _wigner9j_array, cgc3,
+from .angular import (_cg_entries, _triangle_ok, _wigner9j_array, cgc3,
                       wigner6j, wigner9j)
 from .harmonics import _c_index, _h_index, c_components, h_components
 from .special import _c_label, _rank, log_factorial, validate_jm
@@ -237,15 +237,9 @@ def bipolar_plan(family, j1, j2, j):
 
 def _h_plan(j1, j2, j):
     """cgc4_h = CG_mu CG_nu, so the plan is the CG column's outer product."""
-    tmu1, tmu2 = np.meshgrid(np.arange(-j1, j1 + 1, 2),
-                             np.arange(-j2, j2 + 1, 2), indexing="ij")
-    tmu1, tmu2 = tmu1.ravel(), tmu2.ravel()
-    col = _cgc3_array(j1, tmu1, j2, tmu2, j, tmu1 + tmu2)
-    nz = col != 0.0
-    tmu1, tmu2, col = tmu1[nz], tmu2[nz], col[nz]
+    _, tmu1, tmu2, col = _cg_entries(j1, j2, j)
     # Row p of the outer product couples mu; column q couples nu.
-    p = np.repeat(np.arange(len(col)), len(col))
-    q = np.tile(np.arange(len(col)), len(col))
+    p, q = np.divmod(np.arange(len(col) ** 2), len(col))
     return (_h_index(j1, tmu1[p], tmu1[q]),
             _h_index(j2, tmu2[p], tmu2[q]),
             _h_index(j, tmu1[p] + tmu2[p], tmu1[q] + tmu2[q]),
@@ -253,33 +247,20 @@ def _h_plan(j1, j2, j):
 
 
 def _c_plan(j1, j2, j):
-    """Every (lam1, lam2, lam) block's reduced factor in one 9j call, then
-    the 3D CGC of all (lam1, alf1; lam2, alf2 | lam, alf) one lam at a time."""
-    lam1, lam2, lam = np.meshgrid(np.arange(j1 + 1), np.arange(j2 + 1),
-                                  np.arange(j + 1), indexing="ij")
-    block = (np.abs(lam1 - lam2) <= lam) & (lam <= lam1 + lam2) \
-        & ((lam1 + lam2 + lam) % 2 == 0)
+    """Every (lam1, lam2, lam) block's reduced factor in one 9j call, times
+    the 3D CGC (lam1, alf1; lam2, alf2 | lam, alf) of all blocks at once.
+    Blocks run lam-major, so the plan lists its entries by outer lam."""
+    lam, lam1, lam2 = (x.ravel() for x in np.meshgrid(
+        np.arange(j + 1), np.arange(j1 + 1), np.arange(j2 + 1),
+        indexing="ij"))
+    block = _triangle_ok(lam1, lam2, lam)
     lam1, lam2, lam = lam1[block], lam2[block], lam[block]
     reduced = ((j + 1.0) * np.sqrt((2.0 * lam1 + 1.0) * (2.0 * lam2 + 1.0))
                * _wigner9j_array(j1, j2, j, j1, j2, j,
                                  2 * lam1, 2 * lam2, 2 * lam))
-    alf1 = np.arange(-j1, j1 + 1)
-    parts = []
-    for lam_out in range(j + 1):
-        b = np.flatnonzero(lam == lam_out)
-        alf = np.arange(-lam_out, lam_out + 1)
-        # Axes (block, alf, alf1); a live slot has |alf1| <= lam1 and
-        # |alf - alf1| <= lam2.
-        live = ((np.abs(alf1) <= lam1[b, None, None])
-                & (np.abs(alf[:, None] - alf1) <= lam2[b, None, None]))
-        bi, ai, a1i = np.nonzero(live)
-        blk, a, a1 = b[bi], alf[ai], alf1[a1i]
-        l1, l2 = lam1[blk], lam2[blk]
-        cg = _cgc3_array(2 * l1, 2 * a1, 2 * l2, 2 * (a - a1),
-                         2 * lam_out, 2 * a)
-        parts.append((_c_index(l1, a1), _c_index(l2, a - a1),
-                      _c_index(lam_out, a), reduced[blk] * cg))
-    return tuple(np.concatenate(x) for x in zip(*parts))
+    blk, talf1, talf2, cg = _cg_entries(2 * lam1, 2 * lam2, 2 * lam)
+    return (_c_index(lam1[blk], talf1 // 2), _c_index(lam2[blk], talf2 // 2),
+            _c_index(lam[blk], (talf1 + talf2) // 2), reduced[blk] * cg)
 
 
 def bipolar_values(family, j1, j2, j, comps1, comps2):

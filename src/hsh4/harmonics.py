@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import _cgc3_array, _legendre_rows
+from .angular import _cg_entries, _legendre_rows
 from .special import _c_label, _finite, _rank, validate_jm
 
 __all__ = [
@@ -252,47 +252,32 @@ def h_components(j, v):
 
 @lru_cache(maxsize=64)
 def _h_to_c_entries(j):
-    """The nonzeros of T = h_to_c_matrix(j) in two padded gather layouts.
+    """The nonzeros of T = h_to_c_matrix(j) as flat (rows, cols, coeff).
 
-    Returns (col, w_row, row, w_col), each ((j+1)^2, j+1):
-    C[r] = sum_k w_row[r, k] H[col[r, k]] and H[c] = sum_k w_col[c, k]
-    C[row[c, k]].  A row (lam, alf) of T meets the columns (mu, mu + alf),
-    one per mu, and a column (mu, nu) meets the rows (lam, nu - mu), one per
-    lam; slots past an entry's own range hold weight 0.  Every coefficient
-    comes from one _cgc3_array call.  Held read-only.
+    Row (lam, alf) of T meets column (mu, nu) where (j/2, mu) couples with
+    (lam, alf) to (j/2, nu): at most j + 1 columns per row and j + 1 rows
+    per column.  The CG coefficients of all triples (j/2, lam, j/2), lam =
+    0..j, come from one _cg_entries call.  Held read-only.
     """
-    lam, alpha = _c_labels(j)[:2]
-    k = np.arange(j + 1)
-    tmu, tlam, talpha = np.broadcast_arrays(2 * k - j, 2 * lam[:, None],
-                                            2 * alpha[:, None])
-    tnu = tmu + talpha
-    live = np.abs(tnu) <= j
-    w_row = np.zeros(live.shape)
-    w_row[live] = _cgc3_array(j, tmu[live], tlam[live], talpha[live], j,
-                              tnu[live])
-    w_row *= np.sqrt((2.0 * lam + 1.0) / (j + 1.0))[:, None]
-    col = np.where(live, _h_index(j, tmu, tnu), 0)
-    # Column (mu, nu) = (a, b) on the (j+1) x (j+1) grid has alf = b - a and
-    # meets row lam^2 + lam + alf, slot a, of the layout above.
-    a, b = np.divmod(np.arange((j + 1) ** 2), j + 1)
-    alf = (b - a)[:, None]
-    ok = k >= np.abs(alf)
-    row = np.where(ok, _c_index(k, alf), 0)
-    w_col = np.where(ok, w_row[row, a[:, None]], 0.0)
-    out = (col, w_row, row, w_col)
+    lam, tmu, talf, cg = _cg_entries(j, 2 * np.arange(j + 1), j)
+    out = (_c_index(lam, talf // 2), _h_index(j, tmu, tmu + talf),
+           cg * np.sqrt((2.0 * lam + 1.0) / (j + 1.0)))
     for arr in out:
         arr.setflags(write=False)
     return out
 
 
-def _gather(j, index, weight, values):
-    """sum_k weight[:, k] values[index[:, k]], over any trailing axes of values."""
+def _scatter(j, out_index, in_index, coeff, values):
+    """out[out_index] += coeff values[in_index], over any trailing axes of
+    values: C = T H with (rows, cols), H = T^T C with (cols, rows)."""
     values = np.asarray(values)
     if values.ndim == 0 or values.shape[0] != (j + 1) ** 2:
         raise ValueError(f"rank {j} component arrays have leading length "
                          f"{(j + 1) ** 2}, got shape {values.shape}")
-    w = weight.reshape(weight.shape + (1,) * (values.ndim - 1))
-    return (w * values[index]).sum(axis=1)
+    out = np.zeros(values.shape, dtype=np.result_type(values, coeff))
+    c = coeff.reshape((-1,) + (1,) * (values.ndim - 1))
+    np.add.at(out, out_index, c * values[in_index])
+    return out
 
 
 def h_to_c_matrix(j):
@@ -306,11 +291,9 @@ def h_to_c_matrix(j):
     read.
     """
     j = _rank("rank j", j)
-    col, w_row = _h_to_c_entries(j)[:2]
-    n = (j + 1) ** 2
-    t = np.zeros((n, n))
-    # Padded slots add weight 0.
-    np.add.at(t, (np.arange(n)[:, None], col), w_row)
+    rows, cols, coeff = _h_to_c_entries(j)
+    t = np.zeros(((j + 1) ** 2, (j + 1) ** 2))
+    t[rows, cols] = coeff
     return t
 
 
@@ -320,15 +303,15 @@ def c_from_h(j, h_values):
     h_values may carry trailing axes; its leading length must be (j+1)^2.
     """
     j = _rank("rank j", j)
-    col, w_row = _h_to_c_entries(j)[:2]
-    return _gather(j, col, w_row, h_values)
+    rows, cols, coeff = _h_to_c_entries(j)
+    return _scatter(j, rows, cols, coeff, h_values)
 
 
 def h_from_c(j, c_values):
     """H-component array from the C-component array (inverse of c_from_h)."""
     j = _rank("rank j", j)
-    row, w_col = _h_to_c_entries(j)[2:]
-    return _gather(j, row, w_col, c_values)
+    rows, cols, coeff = _h_to_c_entries(j)
+    return _scatter(j, cols, rows, coeff, c_values)
 
 
 def scalar_product_h(j, a, b):

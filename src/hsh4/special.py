@@ -42,11 +42,16 @@ def _rank(name, value, low=0):
 
 
 def _finite(**values):
-    """Raise for the first of values (reals or arrays) that is NaN or inf."""
+    """Raise for the first of values (reals, arrays) not a finite float."""
     for name, value in values.items():
         # np.isfinite takes ~2.4 us on a Python real, math.isfinite ~30 ns
-        if not (math.isfinite(value) if isinstance(value, (int, float))
-                else np.isfinite(value).all()):
+        try:
+            ok = (math.isfinite(value) if isinstance(value, (int, float))
+                  else np.isfinite(value).all())
+        except OverflowError:  # an int past the float range
+            raise ValueError(f"{name} must fit a float, got an integer of "
+                             f"{value.bit_length()} bits") from None
+        if not ok:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 

@@ -13,9 +13,10 @@ from sympy import S
 from sympy.physics.quantum.cg import CG
 from sympy.physics.wigner import wigner_6j, wigner_9j
 
-from hsh4.angular import (_cgc3_array, _wigner6j_array, _wigner9j_array,
-                          cgc3, gen_character, mod_sph_harm, wigner6j,
-                          wigner9j)
+from hsh4 import angular
+from hsh4.angular import (_cg_entries, _cgc3_array, _wigner6j_array,
+                          _wigner9j_array, cgc3, gen_character, mod_sph_harm,
+                          wigner6j, wigner9j)
 from hsh4.harmonics import hsh_c
 
 
@@ -224,3 +225,39 @@ def test_array_racah_sums_selection_rules_and_shapes():
     # a stretched coupling reads log factorials past special's table
     assert _cgc3_array(300, 300, 2, 0, 302, 300) == pytest.approx(
         cgc3(300, 300, 2, 0, 302, 300), rel=1e-13)
+
+
+def test_cg_entries_are_the_nonzero_cgc3(monkeypatch):
+    # Stretched and difference edges, rank 0 on either side, half-integer
+    # spins, two triples that break the triangle rule (no entries), then
+    # random triangles, all with 2j <= 12.
+    triples = [(12, 12, 0), (6, 6, 12), (12, 5, 7), (5, 12, 7), (0, 12, 12),
+               (11, 1, 12), (1, 1, 0), (1, 1, 2), (2, 2, 6), (2, 2, 1)]
+    rng = np.random.default_rng(12)
+    while len(triples) < 40:
+        tj1, tj2 = (int(v) for v in rng.integers(0, 13, size=2))
+        tj = int(rng.integers(abs(tj1 - tj2), min(tj1 + tj2, 12) + 1))
+        if (tj1 + tj2 + tj) % 2 == 0:
+            triples.append((tj1, tj2, tj))
+    batch = np.array(triples).T
+    # Cut into runs of 7 entries, the batch gives the same arrays bit for bit
+    # (computed first, so no buffer of the whole-batch call is reused).
+    with monkeypatch.context() as patch:
+        patch.setattr(angular, "_CG_RUN", 7)
+        runs = _cg_entries(*batch)
+    t, tm1, tm2, value = _cg_entries(*batch)
+    for a, b in zip(runs, (t, tm1, tm2, value)):
+        np.testing.assert_array_equal(a, b)
+    want = {}
+    for i, (tj1, tj2, tj) in enumerate(triples):
+        for m1 in range(-tj1, tj1 + 1, 2):
+            for m2 in range(-tj2, tj2 + 1, 2):
+                if abs(m1 + m2) <= tj and (tj - m1 - m2) % 2 == 0:
+                    cg = cgc3(tj1, m1, tj2, m2, tj, m1 + m2)
+                    if cg != 0.0:
+                        want[i, m1 + m2, m1] = cg
+    got = list(zip(t.tolist(), (tm1 + tm2).tolist(), tm1.tolist()))
+    # ordered by triple, then m, then m1, with no pair twice
+    assert got == sorted(want)
+    np.testing.assert_allclose(value, [want[k] for k in got], rtol=0,
+                               atol=1e-15)

@@ -214,9 +214,11 @@ def test_bad_tol_exit_two(capsys, suite, tol):
     assert out == "" and "tol" in err
 
 
-def test_bad_tol_env_exit_two(capsys, monkeypatch):
-    # the coupling suite floors its tolerance at 1e-12, so -1 used to pass
-    monkeypatch.setenv("HSH4_TOL", "-1")
+# The coupling suite floors its tolerance at 1e-12, so -1 used to pass;
+# abc used to exit with float()'s message, which names no variable.
+@pytest.mark.parametrize("tol", ["-1", "abc"])
+def test_bad_tol_env_exit_two(capsys, monkeypatch, tol):
+    monkeypatch.setenv("HSH4_TOL", tol)
     code, out, err = _run(capsys, "verify", "coupling")
     assert code == 2
     assert out == "" and "HSH4_TOL" in err

@@ -407,6 +407,13 @@ PROBES = [
     (lambda: harmonics.from_hyperangles(harmonics.HyperAngles(NAN, 0, 0, 0)),
      "r"),
     (lambda: multipole.expand_radial_function([NAN], 0, 0.4, 1), "taylor[0]"),
+    # An int past the float range is finite but no float; explicit ids keep
+    # the generated ones of the probes above unchanged.
+    pytest.param(lambda: multipole.ExpansionSpec(10**400, 0, 0.5, 1.0), "n",
+                 id="huge-int-n"),
+    pytest.param(lambda: multipole.plane_wave_radial(1, 10**400, 1.0), "a",
+                 id="huge-int-a"),
+    pytest.param(lambda: special.hyp0f1(10**400, 1.0), "c", id="huge-int-c"),
 ]
 
 
