@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .angular import _cg_entries, _legendre_rows
-from .special import _c_label, _finite, _rank, validate_jm
+from .special import _c_label, _finite, _floats, _rank, validate_jm
 
 __all__ = [
     "HyperAngles",
@@ -55,10 +55,11 @@ class HyperAngles:
         _finite(r=self.r, theta0=self.theta0, theta=self.theta, phi=self.phi)
 
 
-def _points(points, nonzero=False):
+def _points(points, nonzero=False, name="points"):
     """points as an (N, 4) float array; ValueError for any other shape, for
-    non-finite components and, with nonzero, for a zero vector."""
-    v = np.asarray(points, dtype=float)
+    components that are no finite float and, with nonzero, for a zero
+    vector."""
+    v = _floats(name, points)
     if v.ndim != 2 or v.shape[1] != 4:
         raise ValueError(f"expected an (N, 4) array of 4-vectors, got shape "
                          f"{v.shape}")
@@ -70,8 +71,8 @@ def _points(points, nonzero=False):
     return v
 
 
-def _point(v, nonzero=False):
-    v = np.asarray(v, dtype=float)
+def _point(v, nonzero=False, name="v"):
+    v = _floats(name, v)
     if v.shape != (4,):
         raise ValueError(f"expected a 4-vector, got shape {v.shape}")
     return _points(v[None], nonzero)[0]
@@ -317,7 +318,8 @@ def h_from_c(j, c_values):
 def scalar_product_h(j, a, b):
     """(H_j(a-hat) . H_j(b-hat)) = sum (-1)^(mu-nu) H_{j mu nu}(a) H_{j,-mu,-nu}(b)."""
     j = _rank("rank j", j)
-    ha, hb = h_from_c(j, _c_rank(j, np.stack([_point(a), _point(b)]))).T
+    ab = np.stack([_point(a, name="a"), _point(b, name="b")])
+    ha, hb = h_from_c(j, _c_rank(j, ab)).T
     # (-mu, -nu) sits at the reversed flat index.
     row, col = np.divmod(np.arange((j + 1) ** 2), j + 1)
     sign = 1.0 - 2.0 * ((row + col) % 2)
@@ -331,7 +333,8 @@ def scalar_product_c(j, a, b):
     between a and b.
     """
     j = _rank("rank j", j)
-    ca, cb = _c_rank(j, np.stack([_point(a), _point(b)])).T
+    ab = np.stack([_point(a, name="a"), _point(b, name="b")])
+    ca, cb = _c_rank(j, ab).T
     lam, alpha, _, _, flip = _c_labels(j)
     sign = 1.0 - 2.0 * ((lam + alpha) % 2)
     return float(np.sum(sign * ca * cb[flip]).real)
@@ -343,6 +346,6 @@ def cos4(a, b):
     Each vector is divided by its largest |component| first, so no product
     overflows.
     """
-    a, b = _point(a, nonzero=True), _point(b, nonzero=True)
+    a, b = _point(a, True, "a"), _point(b, True, "b")
     a, b = a / np.max(np.abs(a)), b / np.max(np.abs(b))
     return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))

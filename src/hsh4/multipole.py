@@ -23,8 +23,8 @@ import numpy as np
 from .angular import _triangle_ok
 from .coupling import bipolar_values, cgc4_c, cgc4_c_closed
 from .harmonics import c_components, c_table
-from .special import (DEFAULT_SERIES, SeriesControl, _finite, _rank, _tol,
-                      hyp0f1, hyp2f1, log_factorial)
+from .special import (DEFAULT_SERIES, SeriesControl, _finite, _floats,
+                      _rank, _tol, hyp0f1, hyp2f1, log_factorial)
 
 __all__ = [
     "ExpansionSpec", "CoeffTable", "admissible_pair", "plane_wave_radial",
@@ -288,8 +288,7 @@ def eval_expansion(table, j, r1hat, r2hat):
     j = _rank("rank j", j)
     if table.j is not None and table.j != j:
         raise ValueError(f"table holds rank j = {table.j}, not j = {j}")
-    r1 = np.asarray(r1hat, dtype=float)
-    r2 = np.asarray(r2hat, dtype=float)
+    r1, r2 = _floats("r1hat", r1hat), _floats("r2hat", r2hat)
     if r1.shape != r2.shape or r1.ndim not in (1, 2) or r1.shape[-1] != 4:
         raise ValueError(f"r1hat and r2hat must be 4-vectors or (N, 4) "
                          f"batches of one shape, got shapes {r1.shape} and "

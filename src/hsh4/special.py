@@ -41,16 +41,33 @@ def _rank(name, value, low=0):
     return value
 
 
+def _floats(name, value):
+    """value as a float array; ValueError naming it for a Python int past
+    the float range, which numpy reports as a bare OverflowError."""
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{name} must fit a float, got an integer past "
+                         f"the float range") from None
+
+
 def _finite(**values):
     """Raise for the first of values (reals, arrays) not a finite float."""
     for name, value in values.items():
         # np.isfinite takes ~2.4 us on a Python real, math.isfinite ~30 ns
-        try:
-            ok = (math.isfinite(value) if isinstance(value, (int, float))
-                  else np.isfinite(value).all())
-        except OverflowError:  # an int past the float range
-            raise ValueError(f"{name} must fit a float, got an integer of "
-                             f"{value.bit_length()} bits") from None
+        if isinstance(value, (int, float)):
+            try:
+                ok = math.isfinite(value)
+            except OverflowError:  # an int past the float range
+                raise ValueError(f"{name} must fit a float, got an integer "
+                                 f"of {value.bit_length()} bits") from None
+        else:
+            arr = np.asarray(value)
+            # np.isfinite rejects object arrays, such as one holding an int
+            # past the float range.
+            if arr.dtype == object:
+                arr = _floats(name, arr)
+            ok = np.isfinite(arr).all()
         if not ok:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
@@ -139,10 +156,16 @@ def hyp2f1(a, b, c, z, ctl=DEFAULT_SERIES):
     or a c that is a nonpositive integer the series reaches, raises
     ValueError.
     """
-    # The sum is non-finite whenever an argument is, so the full check runs
-    # only then.  b_coeff calls this once per table entry, where _finite
-    # alone would add ~1.1 us a call, ~15% of an l_max = 60 table.
-    if not math.isfinite(a + b + c + z):
+    # The sum is non-finite whenever an argument is, and overflows when an
+    # int argument is past the float range, so the full check, which names
+    # the argument, runs only then.  b_coeff calls this once per table
+    # entry, where _finite alone would add ~1.1 us a call, ~15% of an
+    # l_max = 60 table.
+    try:
+        ok = math.isfinite(a + b + c + z)
+    except OverflowError:
+        ok = False
+    if not ok:
         _finite(a=a, b=b, c=c, z=z)
     n_terms = None
     if _nonpositive_int(a):

@@ -15,6 +15,7 @@ theta) factors refined twofold and fourfold; the two values must agree.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import (eval_chebyu, eval_gegenbauer, eval_legendre,
@@ -85,12 +86,27 @@ def _chebyshev2(n):
     return np.arccos(np.cos(k * np.pi / (n + 1))), w0
 
 
+@lru_cache(maxsize=32)
+def _gauss_legendre(n):
+    """theta = arccos(x) nodes and weights of the n-point Gauss-Legendre
+    rule, held read-only: leggauss's Python loops were most of a
+    projection op, and the nodes depend on n alone."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    theta = np.arccos(x)
+    for arr in (theta, w):
+        arr.setflags(write=False)
+    return theta, w
+
+
 def build_grid(n0, n1, n2):
-    """Product grid with n0 x n1 x n2 nodes; total weight is exactly 2 pi^2."""
+    """Product grid with n0 x n1 x n2 nodes; total weight is exactly 2 pi^2.
+
+    Each Gauss-Legendre rule is computed once per size and kept in a
+    bounded cache; every grid gets its own writable copies of it.
+    """
     n0, n1, n2 = _rank("n0", n0, 1), _rank("n1", n1, 1), _rank("n2", n2, 1)
     theta0, w0 = _chebyshev2(n0)
-    x1, w1 = np.polynomial.legendre.leggauss(n1)
-    theta = np.arccos(x1)
+    theta, w1 = (arr.copy() for arr in _gauss_legendre(n1))
     phi = 2.0 * np.pi * np.arange(n2) / n2
     w2 = np.full(n2, 2.0 * np.pi / n2)
     exact_degree = min(2 * n0 - 1, 2 * n1 - 1, n2 - 1)
@@ -126,7 +142,7 @@ def _angular(lam_max, theta, phi):
 
 def c_harmonics_at_vectors(j, vecs):
     """C-family values at an (N, 4) array of nonzero, finite 4-vectors."""
-    j, vecs = _rank("rank j", j), _points(vecs, nonzero=True)
+    j, vecs = _rank("rank j", j), _points(vecs, True, "vecs")
     x, y, z, z0 = np.moveaxis(vecs, -1, 0)
     rho_xy = np.hypot(x, y)
     theta0 = np.arctan2(np.hypot(rho_xy, z), z0)
@@ -256,6 +272,8 @@ def project_multipole(n, j, r1, r2, l, lp, grid=None, seeds=(7, 19),
     its orbit.  Against that point both read x2 only through its theta0 and
     theta, so x2 runs over the 2-D (theta0, theta) factors of grid, refined
     twofold: build_grid(2 n0, 2 n1, 1).  The phi count n2 is not read.
+    Both refined rules come from build_grid's cache of Gauss-Legendre
+    rules, so after the first call at a grid size no call rebuilds them.
 
     The same rule at 4 n0 x 4 n1 gives the returned value.  Both values must
     be finite and agree to agree_tol / 10 (relative to max(1, |B|)), or a

@@ -282,6 +282,21 @@ def test_analytic_route_loads_no_scipy():
     assert result["oracle"]
 
 
+def test_oracle_loads_no_scipy_linalg():
+    # The oracle takes its Gauss-Legendre nodes from numpy, not from
+    # scipy.special.roots_legendre, which imports scipy.linalg: import time
+    # that every process running the oracle would pay.
+    src = str(pathlib.Path(hsh4.__file__).resolve().parents[1])
+    code = ("import sys\n"
+            "from hsh4.verify import project_multipole\n"
+            "project_multipole(-2, 0, 0.3, 1.0, 1, 1)\n"
+            "print('scipy.linalg' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.split() == ["False"]
+
+
 def test_ci_console_script_step_replays():
     # The "Console script" step of the CI workflow, run as one bash script
     # with the hsh4 console script mapped to `python -m hsh4.cli`.

@@ -414,6 +414,23 @@ PROBES = [
     pytest.param(lambda: multipole.plane_wave_radial(1, 10**400, 1.0), "a",
                  id="huge-int-a"),
     pytest.param(lambda: special.hyp0f1(10**400, 1.0), "c", id="huge-int-c"),
+    pytest.param(lambda: special.hyp2f1(1, 1, 2, 10**400), "z",
+                 id="huge-int-z"),
+    pytest.param(lambda: harmonics.hsh_c(2, 0, 0, [10**400, 0, 0, 1]), "v",
+                 id="huge-int-v"),
+    pytest.param(lambda: verify.c_harmonics_at_vectors(
+        1, np.array([[10**400, 0, 0, 1]], dtype=object)), "vecs",
+                 id="huge-int-vecs"),
+    pytest.param(lambda: multipole.CoeffTable({(0, 0): 10**400}, False),
+                 "entries", id="huge-int-entries"),
+    pytest.param(lambda: angular.mod_sph_harm(
+        2, 0, np.array([10**400], dtype=object), 0.0), "theta",
+                 id="huge-int-theta"),
+    pytest.param(lambda: harmonics.cos4(V, [0, 0, 10**400, 1]), "b",
+                 id="huge-int-b"),
+    pytest.param(lambda: multipole.eval_expansion(
+        multipole.CoeffTable({(0, 0): 1.0}, False), 0, [10**400, 0, 0, 1],
+        V), "r1hat", id="huge-int-r1hat"),
 ]
 
 

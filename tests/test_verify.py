@@ -288,6 +288,50 @@ def test_projection_refines_the_given_grid():
     assert got == pytest.approx(b_coeff(spec, 1, 2), abs=1e-13)
 
 
+@pytest.mark.parametrize("n", [1, 2, 12, 24, 48, 240])
+def test_cached_rule_is_leggauss(n):
+    x, w = np.polynomial.legendre.leggauss(n)
+    for _ in range(2):  # the second build reads the cache
+        g = build_grid(1, n, 1)
+        assert np.array_equal(g.theta, np.arccos(x))
+        assert np.array_equal(g.w1, w)
+
+
+def test_grids_own_their_rule():
+    g = build_grid(3, 7, 5)
+    theta, w1 = g.theta.copy(), g.w1.copy()
+    g.theta *= 2.0
+    g.w1[:] = 0.0
+    h = build_grid(3, 7, 5)
+    assert np.array_equal(h.theta, theta) and np.array_equal(h.w1, w1)
+
+
+def test_rule_cache_is_bounded():
+    assert verify._gauss_legendre.cache_info().maxsize is not None
+
+
+def _fresh_grid(m):
+    """build_grid(m, m, 1) from a Gauss-Legendre rule computed anew."""
+    theta0, w0 = verify._chebyshev2(m)
+    x, w = np.polynomial.legendre.leggauss(m)
+    return verify.QuadratureGrid(theta0, w0, np.arccos(x), w,
+                                 np.zeros(1), np.full(1, 2.0 * math.pi), 0)
+
+
+def test_projection_from_cached_rules_is_bit_identical():
+    # The benchmark's oracle kernels and pairs on its 12x12x25 grid: the
+    # returned value is the fine rule's, 48 x 48, to the last bit.
+    g = build_grid(12, 12, 25)
+    fine = _fresh_grid(48)
+    for n in (1, -1, 2, -2, 3, -3):
+        for j in (0, 1):
+            for l in range(3):
+                for lp in range(abs(l - j), min(l + j, 2) + 1, 2):
+                    got = project_multipole(n, j, 0.3, 1.0, l, lp, grid=g)
+                    assert got == verify._project_one(n, j, 0.3, 1.0, l, lp,
+                                                      fine)
+
+
 def test_c_table_matches_scipy_route_to_rank_40():
     rng = np.random.default_rng(31)
     poles = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, -1.0],
