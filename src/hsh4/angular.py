@@ -1,15 +1,17 @@
 """Three-dimensional angular-momentum kernel.
 
-Clebsch-Gordan coefficients, 6j and 9j symbols in Racah log-factorial
-arithmetic (scalar, and in array form for whole bipolar plans), generalised
-characters of the rotation group and modified spherical harmonics.
+Clebsch-Gordan coefficients, 6j and 9j symbols as Racah sums (scalar, and
+in array form for whole bipolar plans), generalised characters of the
+rotation group and modified spherical harmonics.  Each Racah sum takes its
+first term from log factorials and every next term from the exact integer
+ratio of consecutive terms, so a coefficient costs one exp.
 
 All angular momenta and projections are passed as doubled integers (2j,
 2m), so half-integer values stay exact.  Phases follow Condon-Shortley.
 """
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -31,49 +33,66 @@ def _triangle_ok(ta, tb, tc):
     return (abs(ta - tb) <= tc) & (tc <= ta + tb) & ((ta + tb + tc) % 2 == 0)
 
 
-def _log_triangle(ta, tb, tc):
-    """ln Delta(a b c) of the Racah triangle coefficient."""
-    return 0.5 * (log_factorial((ta + tb - tc) // 2)
-                  + log_factorial((ta - tb + tc) // 2)
-                  + log_factorial((-ta + tb + tc) // 2)
-                  - log_factorial((ta + tb + tc) // 2 + 1))
+# The helpers of the Racah sums take ints or numpy arrays alike (lf maps a
+# list of factorial arguments to their ln(n!)), so a scalar symbol and its
+# array form add the same terms in the same order and differ only where
+# libm's exp may differ from numpy's by an ulp.  A term ratio is one
+# division of integers, which floats hold exactly for doubled arguments
+# up to ~10^4.
+
+def _log_factorials(ns):
+    """lf of the scalar symbols: one unchecked table lookup per n >= 0."""
+    try:
+        return [_LOGFAC[n] for n in ns]
+    except IndexError:
+        return [log_factorial(n) for n in ns]
+
+
+def _cg_terms(tj1, tm1, tj2, tm2, tj):
+    """(a, b, c, d, e) of Racah's CG sum, whose term k is
+    (-1)^k / (k! (a-k)! (b-k)! (c-k)! (d+k)! (e+k)!), with k from
+    max(0, -d, -e) to min(a, b, c), where no argument is negative."""
+    return ((tj1 + tj2 - tj) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2,
+            (tj - tj2 + tm1) // 2, (tj - tj1 - tm2) // 2)
+
+
+def _cg_ratio(k, a, b, c, d, e):
+    """Term k + 1 over term k of the CG sum."""
+    return -(a - k) * (b - k) * (c - k) / ((k + 1) * (d + k + 1) * (e + k + 1))
+
+
+def _cg_log_first(lf, k, a, b, c, d, e, tj):
+    """ln of term k times the prefactor over sqrt(2j + 1): Delta(j1 j2 j) =
+    a! (b+d)! (c+e)! / (a+2j+1)! and the (j +- m)! of j1, j2 and j, which
+    are (a+d)!, b!, c!, (a+e)!, (c+d)! and (b+e)!."""
+    f = lf([a, b + d, c + e, a + tj + 1, a + d, b, c, a + e, c + d, b + e,
+            k, a - k, b - k, c - k, d + k, e + k])
+    return (0.5 * (f[0] + f[1] + f[2] - f[3] + f[4] + f[5] + f[6] + f[7]
+                   + f[8] + f[9])
+            - (f[10] + f[11] + f[12] + f[13] + f[14] + f[15]))
 
 
 def cgc3(tj1, tm1, tj2, tm2, tj, tm):
     """3D Clebsch-Gordan coefficient C^{j m}_{j1 m1, j2 m2}.
 
-    Racah's single-sum formula evaluated with log factorials.  Exactly 0
-    when m != m1 + m2 or the triangle rule fails; a pair outside
+    Racah's single sum, stepped by the ratio of consecutive terms.  Exactly
+    0 when m != m1 + m2 or the triangle rule fails; a pair outside
     validate_jm raises ValueError.
     """
     tj1, tm1 = validate_jm(tj1, tm1, "1")
     tj2, tm2 = validate_jm(tj2, tm2, "2")
     tj, tm = validate_jm(tj, tm)
-    if tm1 + tm2 != tm or not _triangle_ok(tj1, tj2, tj):
+    a, b, c, d, e = _cg_terms(tj1, tm1, tj2, tm2, tj)
+    k_min, k_max = max(0, -d, -e), min(a, b, c)
+    # With m = m1 + m2, the sum is empty exactly when the triangle rule fails.
+    if tm1 + tm2 != tm or k_min > k_max:
         return 0.0
-
-    log_pre = (_log_triangle(tj1, tj2, tj)
-               + 0.5 * (math.log(tj + 1.0)
-                        + log_factorial((tj1 + tm1) // 2)
-                        + log_factorial((tj1 - tm1) // 2)
-                        + log_factorial((tj2 + tm2) // 2)
-                        + log_factorial((tj2 - tm2) // 2)
-                        + log_factorial((tj + tm) // 2)
-                        + log_factorial((tj - tm) // 2)))
-
-    # Summation bounds keep every factorial argument nonnegative.
-    k_min = max(0, (tj2 - tj - tm1) // 2, (tj1 - tj + tm2) // 2)
-    k_max = min((tj1 + tj2 - tj) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
-    total = 0.0
-    for k in range(k_min, k_max + 1):
-        log_den = (log_factorial(k)
-                   + log_factorial((tj1 + tj2 - tj) // 2 - k)
-                   + log_factorial((tj1 - tm1) // 2 - k)
-                   + log_factorial((tj2 + tm2) // 2 - k)
-                   + log_factorial((tj - tj2 + tm1) // 2 + k)
-                   + log_factorial((tj - tj1 - tm2) // 2 + k))
-        total += (-1.0) ** k * math.exp(log_pre - log_den)
-    return total
+    term = total = (-1.0) ** k_min  # an exact cancellation gives +0.0
+    for k in range(k_min, k_max):
+        term *= _cg_ratio(k, a, b, c, d, e)
+        total += term
+    log0 = _cg_log_first(_log_factorials, k_min, a, b, c, d, e, tj)
+    return math.sqrt(tj + 1.0) * math.exp(log0) * total
 
 
 def wigner6j(ta, tb, tc, td, te, tf):
@@ -86,29 +105,47 @@ def wigner6j(ta, tb, tc, td, te, tf):
                        zip("abcdef", (ta, tb, tc, td, te, tf))))
 
 
+def _6j_terms(ta, tb, tc, td, te, tf):
+    """The triads, lows and highs of Racah's 6j sum, whose term t is
+    (-1)^t (t+1)! / (prod_i (t - low_i)! prod_i (high_i - t)!), low_i the
+    triad sums, with t from max(lows) to min(highs)."""
+    triads = ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc))
+    return (triads, [(x + y + z) // 2 for x, y, z in triads],
+            [(ta + tb + td + te) // 2, (ta + tc + td + tf) // 2,
+             (tb + tc + te + tf) // 2])
+
+
+def _6j_ratio(t, lows, highs):
+    """Term t + 1 over term t of the 6j sum."""
+    (l1, l2, l3, l4), (h1, h2, h3) = lows, highs
+    return (-(t + 2) * (h1 - t) * (h2 - t) * (h3 - t)
+            / ((t + 1 - l1) * (t + 1 - l2) * (t + 1 - l3) * (t + 1 - l4)))
+
+
+def _6j_log_first(lf, t, triads, lows, highs):
+    """ln of term t times the four Delta(x y z) = (s-z)! (s-y)! (s-x)! /
+    (s+1)!, s = (x+y+z)/2 the triad's low."""
+    f = lf([t + 1] + [t - s for s in lows] + [h - t for h in highs] + [
+        n for (x, y, z), s in zip(triads, lows)
+        for n in (s - z, s - y, s - x, s + 1)])
+    return (f[0] - (f[1] + f[2] + f[3] + f[4] + f[5] + f[6] + f[7])
+            + 0.5 * (f[8] + f[9] + f[10] - f[11] + f[12] + f[13] + f[14]
+                     - f[15] + f[16] + f[17] + f[18] - f[19] + f[20] + f[21]
+                     + f[22] - f[23]))
+
+
 def _wigner6j(ta, tb, tc, td, te, tf):
     """wigner6j of arguments that passed its check."""
-    triads = ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc))
+    triads, lows, highs = _6j_terms(ta, tb, tc, td, te, tf)
     if not all(_triangle_ok(*t) for t in triads):
         return 0.0
-    log_delta = sum(_log_triangle(*t) for t in triads)
-
-    t_min = max((ta + tb + tc) // 2, (ta + te + tf) // 2,
-                (td + tb + tf) // 2, (td + te + tc) // 2)
-    t_max = min((ta + tb + td + te) // 2, (ta + tc + td + tf) // 2,
-                (tb + tc + te + tf) // 2)
-    total = 0.0
-    for t in range(t_min, t_max + 1):
-        log_term = (log_factorial(t + 1)
-                    - log_factorial(t - (ta + tb + tc) // 2)
-                    - log_factorial(t - (ta + te + tf) // 2)
-                    - log_factorial(t - (td + tb + tf) // 2)
-                    - log_factorial(t - (td + te + tc) // 2)
-                    - log_factorial((ta + tb + td + te) // 2 - t)
-                    - log_factorial((ta + tc + td + tf) // 2 - t)
-                    - log_factorial((tb + tc + te + tf) // 2 - t))
-        total += (-1.0) ** t * math.exp(log_delta + log_term)
-    return total
+    t_min = max(lows)
+    term = total = (-1.0) ** t_min
+    for t in range(t_min, min(highs)):
+        term *= _6j_ratio(t, lows, highs)
+        total += term
+    log0 = _6j_log_first(_log_factorials, t_min, triads, lows, highs)
+    return math.exp(log0) * total
 
 
 def wigner9j(ta, tb, tc, td, te, tf, tg, th, tk):
@@ -137,25 +174,24 @@ def wigner9j(ta, tb, tc, td, te, tf, tg, th, tk):
 
 # Array forms of the three Racah sums.  They take broadcastable numpy
 # arrays of doubled arguments and give 0 wherever a selection rule fails.
-# The summation axis (k, t or x) is padded to its longest range, and the
-# slots past an element's own range are masked.  Terms are added in
-# ascending order, as in the scalar loops above; those stay as the
-# single-coefficient route and as the reference the array forms are tested
-# against.  _cg_entries enumerates the nonzero CG of a batch of triples for
-# both bipolar plans and the H-C basis change of harmonics.
+# Each reads its first terms' log factorials in one lookup and pads the
+# summation axis (k, t or x) to its longest range.  The scalar symbols stay
+# as the single-coefficient route and as the arrays' test reference.
+# _cg_entries enumerates the nonzero CG of a batch of triples for both
+# bipolar plans and the H-C basis change of harmonics.
 
 _LOGFAC_ARRAY = np.array(_LOGFAC)
 _CG_RUN = 1 << 14  # entries per _cgc3_array call of _cg_entries
 
 
-def _logfac_at(n, mask):
-    """ln(n!) where mask holds (broadcast against n), 0 elsewhere.
+def _logfac_at(ns, mask):
+    """lf of the array forms: ln(n!) where mask holds, 0 elsewhere.
 
     A masked slot is read at n = 0, so a negative argument never reaches
     the table as a wrapped index.  Past special's table the values come
     from log_factorial itself.
     """
-    n = np.where(mask, n, 0)
+    n = np.where(mask, np.stack(ns), 0)
     table = _LOGFAC_ARRAY
     top = int(n.max(initial=0))
     if top >= len(table):
@@ -166,17 +202,6 @@ def _logfac_at(n, mask):
 
 def _int_arrays(*args):
     return np.broadcast_arrays(*(np.asarray(x, dtype=np.intp) for x in args))
-
-
-def _triangle_args(ta, tb, tc):
-    """Factorial arguments of Delta(a b c); the last one is a denominator."""
-    return [(ta + tb - tc) // 2, (ta - tb + tc) // 2, (-ta + tb + tc) // 2,
-            (ta + tb + tc) // 2 + 1]
-
-
-def _log_triangle_rows(lf):
-    """ln Delta from the four rows _triangle_args gave to _logfac_at."""
-    return 0.5 * (lf[0] + lf[1] + lf[2] - lf[3])
 
 
 def _jm_mask(tj, tm):
@@ -192,22 +217,15 @@ def _sign(n):
     return np.where(n % 2, -1.0, 1.0)
 
 
-def _alternating_sum(log_pre, base, step, sign, k_min, k_max, ok):
-    """sum_k (-1)^k exp(log_pre + sum_r sign[r] lf(base[r] + step[r] k)).
-
-    k runs from k_min to k_max elementwise, on an axis padded to the longest
-    range; slots past an element's own range, and elements where ok fails,
-    add 0.  Rows r lie on axis 0 of base; step and sign are per row.
-    """
-    shape = (-1,) + (1,) * ok.ndim
-    step = np.reshape(step, shape)
-    sign = np.reshape(sign, shape)
-    total = np.zeros(ok.shape)
-    for i in range(_span(k_min, k_max, ok)):
-        k = k_min + i
-        live = ok & (k <= k_max)
-        log_term = (_logfac_at(base + step * k, live) * sign).sum(axis=0)
-        total += np.where(live, _sign(k) * np.exp(log_pre + log_term), 0.0)
+def _ratio_sum(ratio, terms, k_min, k_max, ok):
+    """The scalar symbols' ratio loop, elementwise, and 0 where ok fails.
+    Past an element's own k_max its ratio has a zero factor, so the padded
+    axis adds exact zeros."""
+    term = np.where(ok, _sign(k_min), 0.0)
+    total = term.copy()
+    for i in range(_span(k_min, k_max, ok) - 1):
+        term *= ratio(k_min + i, *terms)
+        total += term
     return total
 
 
@@ -216,24 +234,12 @@ def _cgc3_array(tj1, tm1, tj2, tm2, tj, tm):
     tj1, tm1, tj2, tm2, tj, tm = _int_arrays(tj1, tm1, tj2, tm2, tj, tm)
     ok = (_triangle_ok(tj1, tj2, tj) & (tm1 + tm2 == tm)
           & _jm_mask(tj1, tm1) & _jm_mask(tj2, tm2) & _jm_mask(tj, tm))
-    lf = _logfac_at(np.stack(_triangle_args(tj1, tj2, tj)
-                             + [(tj1 + tm1) // 2, (tj1 - tm1) // 2,
-                                (tj2 + tm2) // 2, (tj2 - tm2) // 2,
-                                (tj + tm) // 2, (tj - tm) // 2]), ok)
-    # A sum over axis 0 of a C-ordered stack adds its rows in order (numpy
-    # sums pairwise only along the fast axis), so every log sum below is
-    # added in the scalar functions' order.
-    log_pre = (_log_triangle_rows(lf)
-               + 0.5 * np.concatenate([np.log(tj + 1.0)[None], lf[4:]])
-               .sum(axis=0))
-    # Row r of the k-th term's denominator is lf(base[r] + step[r] k).
-    base = np.stack([np.zeros_like(tj), (tj1 + tj2 - tj) // 2,
-                     (tj1 - tm1) // 2, (tj2 + tm2) // 2,
-                     (tj - tj2 + tm1) // 2, (tj - tj1 - tm2) // 2])
-    k_min = np.maximum.reduce([base[0], -base[4], -base[5]])
-    k_max = np.minimum.reduce([base[1], base[2], base[3]])
-    return _alternating_sum(log_pre, base, [1, -1, -1, -1, 1, 1], [-1.0] * 6,
-                            k_min, k_max, ok)
+    a, b, c, d, e = terms = _cg_terms(tj1, tm1, tj2, tm2, tj)
+    k_min = np.maximum(0, np.maximum(-d, -e))
+    total = _ratio_sum(_cg_ratio, terms, k_min,
+                       np.minimum(a, np.minimum(b, c)), ok)
+    log0 = _cg_log_first(partial(_logfac_at, mask=ok), k_min, *terms, tj)
+    return np.sqrt(tj + 1.0) * np.exp(log0) * total
 
 
 def _cg_entries(tj1, tj2, tj):
@@ -266,20 +272,14 @@ def _cg_entries(tj1, tj2, tj):
 
 def _wigner6j_array(ta, tb, tc, td, te, tf):
     """wigner6j over broadcast arrays of doubled arguments."""
-    ta, tb, tc, td, te, tf = _int_arrays(ta, tb, tc, td, te, tf)
-    triads = ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc))
+    triads, lows, highs = _6j_terms(*_int_arrays(ta, tb, tc, td, te, tf))
     ok = np.logical_and.reduce([_triangle_ok(*t) for t in triads])
-    lf = _logfac_at(np.stack([n for t in triads for n in _triangle_args(*t)]),
-                    ok)
-    log_delta = sum(_log_triangle_rows(lf[i:i + 4]) for i in range(0, 16, 4))
-    lows = np.stack([(x + y + z) // 2 for x, y, z in triads])
-    highs = np.stack([(ta + tb + td + te) // 2, (ta + tc + td + tf) // 2,
-                      (tb + tc + te + tf) // 2])
-    # Rows: (t + 1)! over (t - low)! and (high - t)!.
-    base = np.concatenate([np.ones_like(ta)[None], -lows, highs])
-    return _alternating_sum(log_delta, base, [1] * 5 + [-1] * 3,
-                            [1.0] + [-1.0] * 7, lows.max(axis=0),
-                            highs.min(axis=0), ok)
+    t_min = np.maximum.reduce(lows)
+    total = _ratio_sum(_6j_ratio, (lows, highs), t_min,
+                       np.minimum.reduce(highs), ok)
+    log0 = _6j_log_first(partial(_logfac_at, mask=ok), t_min, triads, lows,
+                         highs)
+    return np.exp(log0) * total
 
 
 def _wigner9j_array(ta, tb, tc, td, te, tf, tg, th, tk):

@@ -16,8 +16,9 @@ import numpy as np
 
 from .angular import (_cg_entries, _triangle_ok, _wigner9j_array, cgc3,
                       wigner6j, wigner9j)
-from .harmonics import _c_index, _h_index, c_components, h_components
-from .special import _c_label, _rank, log_factorial, validate_jm
+from .harmonics import (_c_index, _component_array, _h_index, c_components,
+                        h_components)
+from .special import _c_label, _rank, validate_jm
 
 __all__ = [
     "cgc4_h",
@@ -111,6 +112,12 @@ def ninej4_closed(k, l, lp, j):
                * (k + 1) * (j + 1)))
 
 
+def _sqrt_ratio(num, den):
+    """sqrt(num / den) of positive ints within 1 ulp: a floored integer root
+    carrying 64 extra bits, then one correctly rounded division."""
+    return math.isqrt((num * den) << 128) / (den << 64)
+
+
 # The cases of cgc4_c_closed, in the order the CLI tries them.
 _CLOSED_CASES = ("stretched", "stretched_j1_zero_lambda", "diff",
                  "six_j_reduction", "spin1")
@@ -135,6 +142,9 @@ def cgc4_c_closed(case, j1, lam1, alf1, j2, lam2, alf2, j, lam, alf):
     j1, lam1, alf1 = _c_label(j1, lam1, alf1, "1")
     j2, lam2, alf2 = _c_label(j2, lam2, alf2, "2")
     j, lam, alf = _c_label(j, lam, alf)
+    # The stretched and diff prefactors are square roots of exact ratios of
+    # factorials, rounded once.
+    fac = math.factorial
     if case == "stretched":
         if j != j1 + j2:
             raise ValueError("'stretched' needs j = j1 + j2")
@@ -142,18 +152,11 @@ def cgc4_c_closed(case, j1, lam1, alf1, j2, lam2, alf2, j, lam, alf):
         cg = cgc3(2 * lam1, 2 * alf1, 2 * lam2, 2 * alf2, 2 * lam, 2 * alf)
         if cg_par == 0.0 or cg == 0.0:
             return 0.0
-        log_ratio = (log_factorial(j1) + log_factorial(j2)
-                     - log_factorial(j1 + j2))
-        log_root = 0.5 * (log_factorial(j1 + j2 + lam + 1)
-                          + log_factorial(j1 + j2 - lam)
-                          + math.log(2.0 * lam1 + 1.0)
-                          + math.log(2.0 * lam2 + 1.0)
-                          - log_factorial(j1 + lam1 + 1)
-                          - log_factorial(j1 - lam1)
-                          - log_factorial(j2 + lam2 + 1)
-                          - log_factorial(j2 - lam2)
-                          - math.log(2.0 * lam + 1.0))
-        return cg_par * cg * math.exp(log_ratio + log_root)
+        return cg_par * cg * _sqrt_ratio(
+            (fac(j1) * fac(j2)) ** 2 * fac(j + lam + 1) * fac(j - lam)
+            * (2 * lam1 + 1) * (2 * lam2 + 1),
+            fac(j) ** 2 * fac(j1 + lam1 + 1) * fac(j1 - lam1)
+            * fac(j2 + lam2 + 1) * fac(j2 - lam2) * (2 * lam + 1))
 
     if case == "stretched_j1_zero_lambda":
         if j != j1 + j2 or lam1 != 0 or alf1 != 0:
@@ -161,13 +164,9 @@ def cgc4_c_closed(case, j1, lam1, alf1, j2, lam2, alf2, j, lam, alf):
                              "lam1 = alf1 = 0")
         if lam != lam2 or alf != alf2:
             return 0.0
-        log_val = (log_factorial(j2) - log_factorial(j1 + j2)
-                   + 0.5 * (log_factorial(j1 + j2 + lam + 1)
-                            + log_factorial(j1 + j2 - lam)
-                            - math.log(j1 + 1.0)
-                            - log_factorial(j2 + lam + 1)
-                            - log_factorial(j2 - lam)))
-        return math.exp(log_val)
+        return _sqrt_ratio(
+            fac(j2) ** 2 * fac(j + lam + 1) * fac(j - lam),
+            fac(j) ** 2 * (j1 + 1) * fac(j2 + lam + 1) * fac(j2 - lam))
 
     if case == "diff":
         if j != j2 - j1:
@@ -176,16 +175,11 @@ def cgc4_c_closed(case, j1, lam1, alf1, j2, lam2, alf2, j, lam, alf):
         cg = cgc3(2 * lam1, 2 * alf1, 2 * lam2, 2 * alf2, 2 * lam, 2 * alf)
         if cg_par == 0.0 or cg == 0.0:
             return 0.0
-        log_ratio = (log_factorial(j1) + log_factorial(j2 - j1 + 1)
-                     - log_factorial(j2 + 1))
-        log_root = 0.5 * (log_factorial(j2 + lam2 + 1)
-                          + log_factorial(j2 - lam2)
-                          + math.log(2.0 * lam1 + 1.0)
-                          - log_factorial(j1 + lam1 + 1)
-                          - log_factorial(j1 - lam1)
-                          - log_factorial(j2 - j1 + lam + 1)
-                          - log_factorial(j2 - j1 - lam))
-        return cg_par * cg * math.exp(log_ratio + log_root)
+        return cg_par * cg * _sqrt_ratio(
+            (fac(j1) * fac(j + 1)) ** 2 * fac(j2 + lam2 + 1) * fac(j2 - lam2)
+            * (2 * lam1 + 1),
+            fac(j2 + 1) ** 2 * fac(j1 + lam1 + 1) * fac(j1 - lam1)
+            * fac(j + lam + 1) * fac(j - lam))
 
     if case == "six_j_reduction":
         if lam1 != 0 or alf1 != 0:
@@ -268,12 +262,14 @@ def bipolar_values(family, j1, j2, j, comps1, comps2):
 
     comps1/comps2 may carry trailing axes (e.g. one column per evaluation
     point); the output has shape ((j+1)**2, *trailing).  It is exactly 0
-    outside the triangle rule; bipolar_plan rejects a bad family or rank.
+    outside the triangle rule; bipolar_plan rejects a bad family or rank,
+    and a component array whose leading length is not (j+1)^2 of its rank
+    raises ValueError.
     """
-    comps1 = np.asarray(comps1)
-    comps2 = np.asarray(comps2)
-    trailing = comps1.shape[1:]
     i1, i2, iout, coeff = bipolar_plan(family, j1, j2, j)
+    comps1 = _component_array(j1, comps1, "comps1")
+    comps2 = _component_array(j2, comps2, "comps2")
+    trailing = comps1.shape[1:]
     j = _rank("j", j)
     out = np.zeros(((j + 1) ** 2,) + trailing, dtype=complex)
     if len(coeff):

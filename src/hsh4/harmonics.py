@@ -56,26 +56,24 @@ class HyperAngles:
 
 
 def _points(points, nonzero=False, name="points"):
-    """points as an (N, 4) float array; ValueError for any other shape, for
-    components that are no finite float and, with nonzero, for a zero
-    vector."""
+    """points as an (N, 4) float array; ValueError naming it for any other
+    shape, for components that are no finite float and, with nonzero, for
+    a zero vector."""
     v = _floats(name, points)
     if v.ndim != 2 or v.shape[1] != 4:
-        raise ValueError(f"expected an (N, 4) array of 4-vectors, got shape "
-                         f"{v.shape}")
+        raise ValueError(f"{name} must hold (N, 4) 4-vectors, got {v.shape}")
     if not np.isfinite(v).all():
-        raise ValueError("4-vectors with non-finite components have no "
-                         "direction")
+        raise ValueError(f"{name} is not finite, so has no direction")
     if nonzero and not v.any(axis=1).all():
-        raise ValueError("zero vector has no direction")
+        raise ValueError(f"{name} holds a zero vector: no direction")
     return v
 
 
 def _point(v, nonzero=False, name="v"):
     v = _floats(name, v)
     if v.shape != (4,):
-        raise ValueError(f"expected a 4-vector, got shape {v.shape}")
-    return _points(v[None], nonzero)[0]
+        raise ValueError(f"{name} must be a 4-vector, got shape {v.shape}")
+    return _points(v[None], nonzero, name)[0]
 
 
 def _hyperangles(points, nonzero=False):
@@ -268,13 +266,19 @@ def _h_to_c_entries(j):
     return out
 
 
-def _scatter(j, out_index, in_index, coeff, values):
-    """out[out_index] += coeff values[in_index], over any trailing axes of
-    values: C = T H with (rows, cols), H = T^T C with (cols, rows)."""
+def _component_array(j, values, name):
+    """values as an array, whose leading length must be (j+1)^2."""
     values = np.asarray(values)
     if values.ndim == 0 or values.shape[0] != (j + 1) ** 2:
-        raise ValueError(f"rank {j} component arrays have leading length "
+        raise ValueError(f"{name} of rank {j} must have leading length "
                          f"{(j + 1) ** 2}, got shape {values.shape}")
+    return values
+
+
+def _scatter(j, out_index, in_index, coeff, values, name):
+    """out[out_index] += coeff values[in_index], over any trailing axes of
+    values: C = T H with (rows, cols), H = T^T C with (cols, rows)."""
+    values = _component_array(j, values, name)
     out = np.zeros(values.shape, dtype=np.result_type(values, coeff))
     c = coeff.reshape((-1,) + (1,) * (values.ndim - 1))
     np.add.at(out, out_index, c * values[in_index])
@@ -305,14 +309,14 @@ def c_from_h(j, h_values):
     """
     j = _rank("rank j", j)
     rows, cols, coeff = _h_to_c_entries(j)
-    return _scatter(j, rows, cols, coeff, h_values)
+    return _scatter(j, rows, cols, coeff, h_values, "h_values")
 
 
 def h_from_c(j, c_values):
     """H-component array from the C-component array (inverse of c_from_h)."""
     j = _rank("rank j", j)
     rows, cols, coeff = _h_to_c_entries(j)
-    return _scatter(j, cols, rows, coeff, c_values)
+    return _scatter(j, cols, rows, coeff, c_values, "c_values")
 
 
 def scalar_product_h(j, a, b):

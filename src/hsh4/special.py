@@ -41,11 +41,11 @@ def _rank(name, value, low=0):
     return value
 
 
-def _floats(name, value):
-    """value as a float array; ValueError naming it for a Python int past
-    the float range, which numpy reports as a bare OverflowError."""
+def _floats(name, value, dtype=float):
+    """value as a float (or complex) array; ValueError naming it for a Python
+    int past the float range, which numpy reports as a bare OverflowError."""
     try:
-        return np.asarray(value, dtype=float)
+        return np.asarray(value, dtype=dtype)
     except OverflowError:
         raise ValueError(f"{name} must fit a float, got an integer past "
                          f"the float range") from None
@@ -64,9 +64,9 @@ def _finite(**values):
         else:
             arr = np.asarray(value)
             # np.isfinite rejects object arrays, such as one holding an int
-            # past the float range.
+            # past the float range; complex, so that complex entries pass.
             if arr.dtype == object:
-                arr = _floats(name, arr)
+                arr = _floats(name, arr, complex)
             ok = np.isfinite(arr).all()
         if not ok:
             raise ValueError(f"{name} must be finite, got {value!r}")

@@ -6,12 +6,13 @@ exact; sympy's wigner module serves as the independent oracle.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from sympy import S
 from sympy.physics.quantum.cg import CG
-from sympy.physics.wigner import wigner_6j, wigner_9j
+from sympy.physics.wigner import clebsch_gordan, wigner_6j, wigner_9j
 
 from hsh4 import angular
 from hsh4.angular import (_cg_entries, _cgc3_array, _wigner6j_array,
@@ -191,9 +192,9 @@ def _nonzero_args(rng, scalar, top, size, count):
     return args
 
 
-# The array forms add the same log factorials in the same order as the
-# scalar loops; only numpy's exp and log may differ from libm's by an ulp,
-# which the cancelling sums at 2j <= 48 amplify to ~1e-14.
+# The array forms add the same log factorials and the same term ratios in
+# the same order as the scalar symbols; only numpy's exp and log may differ
+# from libm's by an ulp, in the one exp of each coefficient.
 RACAH_TOL = 1e-13
 
 
@@ -208,6 +209,38 @@ def test_array_racah_sums_match_scalar():
         got = kernel(*np.array(args).T)
         ref = np.array([scalar(*a) for a in args])
         np.testing.assert_allclose(got, ref, rtol=0, atol=RACAH_TOL)
+
+
+def test_cgc3_matches_exact_values_at_high_rank():
+    # Each term steps from the last by an exact integer ratio, so the sums
+    # at 2j <= 48 keep ~1e-14 (1.1e-14 on these arguments).
+    args = _valid_cg_args(np.random.default_rng(7), 48, 100)
+    ref = [float(clebsch_gordan(*(S(a[i]) / 2 for i in (0, 2, 4, 1, 3, 5))))
+           for a in args]
+    np.testing.assert_allclose([cgc3(*a) for a in args], ref, rtol=0,
+                               atol=1e-13)
+    np.testing.assert_allclose(_cgc3_array(*np.array(args).T), ref, rtol=0,
+                               atol=1e-13)
+
+
+def _cg_column(j):
+    """C^{j 0}_{j m, j -m} over m, doubled arguments."""
+    tm = np.arange(-2 * j, 2 * j + 1, 2)
+    return _cgc3_array(2 * j, tm, 2 * j, -tm, 2 * j, 0)
+
+
+@pytest.mark.parametrize("j, tol", [(40, 1e-10), (60, 1e-7)])
+def test_cg_column_has_unit_norm_at_high_rank(j, tol):
+    assert abs(np.sum(_cg_column(j) ** 2) - 1.0) <= tol
+
+
+def test_cg_column_at_j80_raises_no_warning():
+    # One exp per coefficient stays in range here; its unit-norm defect is
+    # 5.7e-4.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        col = _cg_column(80)
+    assert abs(np.sum(col ** 2) - 1.0) <= 1e-2
 
 
 def test_array_racah_sums_selection_rules_and_shapes():

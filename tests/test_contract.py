@@ -431,6 +431,17 @@ PROBES = [
     pytest.param(lambda: multipole.eval_expansion(
         multipole.CoeffTable({(0, 0): 1.0}, False), 0, [10**400, 0, 0, 1],
         V), "r1hat", id="huge-int-r1hat"),
+    # A component array must hold (j+1)^2 components of its rank.
+    pytest.param(lambda: coupling.bipolar_values(
+        "c", 2, 2, 0, np.zeros(3), np.zeros(9)), "comps1",
+                 id="short-comps1"),
+    pytest.param(lambda: coupling.bipolar_values(
+        "c", 1, 1, 0, np.ones(4), np.ones(9)), "comps2", id="long-comps2"),
+    pytest.param(lambda: harmonics.cos4([1, 0, 0, 0], [NAN, 0, 0, 1]), "b",
+                 id="nan-b"),
+    pytest.param(lambda: multipole.CoeffTable({(0, 0): 1j, (1, 1): 10**400},
+                                              False), "entries",
+                 id="complex-huge-int-entries"),
 ]
 
 

@@ -191,6 +191,21 @@ def test_ninej4_closed_high_rank_vs_mpmath(k, l, lp, j):
         assert got == pytest.approx(ref, rel=1e-12)
 
 
+@pytest.mark.parametrize("j1, j2, lam", [(40, 60, 30), (100, 150, 120),
+                                         (3, 200, 0), (7, 90, 90)])
+def test_stretched_j1_zero_lambda_within_an_ulp(j1, j2, lam):
+    # One square root of an exact ratio of factorials, rounded once.
+    import mpmath
+    j, f = j1 + j2, mpmath.factorial
+    with mpmath.workdps(50):
+        ref = float(mpmath.sqrt(
+            f(j2) ** 2 * f(j + lam + 1) * f(j - lam)
+            / (f(j) ** 2 * (j1 + 1) * f(j2 + lam + 1) * f(j2 - lam))))
+    got = cgc4_c_closed("stretched_j1_zero_lambda", j1, 0, 0, j2, lam, 0, j,
+                        lam, 0)
+    assert abs(got - ref) <= math.ulp(ref)
+
+
 def test_bipolar_rank_zero_is_scalar_product():
     rng = np.random.default_rng(6)
     for l in range(4):
