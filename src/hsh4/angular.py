@@ -15,8 +15,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .special import (_LOGFAC, _c_label, _finite, _rank, log_factorial,
-                      validate_jm)
+from .special import _c_label, _finite, _rank, validate_jm
 
 __all__ = [
     "validate_jm",
@@ -40,12 +39,29 @@ def _triangle_ok(ta, tb, tc):
 # division of integers, which floats hold exactly for doubled arguments
 # up to ~10^4.
 
+@lru_cache(maxsize=None)
+def _logfac_table(bits):
+    """ln(n!) for 0 <= n < 2^bits, read-only, as a tuple and as an array:
+    running sums of logs up to n = 256, lgamma past it."""
+    table = [0.0, 0.0]
+    for n in range(2, 1 << bits):
+        table.append(table[-1] + math.log(n) if n <= 256
+                     else math.lgamma(n + 1.0))
+    array = np.array(table)
+    array.setflags(write=False)
+    return tuple(table), array
+
+
+_LOGFAC = _logfac_table(9)[0]
+
+
 def _log_factorials(ns):
     """lf of the scalar symbols: one unchecked table lookup per n >= 0."""
     try:
         return [_LOGFAC[n] for n in ns]
     except IndexError:
-        return [log_factorial(n) for n in ns]
+        table = _logfac_table(max(ns).bit_length())[0]
+        return [table[n] for n in ns]
 
 
 def _cg_terms(tj1, tm1, tj2, tm2, tj):
@@ -174,13 +190,13 @@ def wigner9j(ta, tb, tc, td, te, tf, tg, th, tk):
 
 # Array forms of the three Racah sums.  They take broadcastable numpy
 # arrays of doubled arguments and give 0 wherever a selection rule fails.
-# Each reads its first terms' log factorials in one lookup and pads the
-# summation axis (k, t or x) to its longest range.  The scalar symbols stay
+# Each reads its first terms' log factorials from the scalar symbols' table
+# in one lookup and pads the summation axis (k, t or x) to its longest
+# range.  The scalar symbols stay
 # as the single-coefficient route and as the arrays' test reference.
 # _cg_entries enumerates the nonzero CG of a batch of triples for both
 # bipolar plans and the H-C basis change of harmonics.
 
-_LOGFAC_ARRAY = np.array(_LOGFAC)
 _CG_RUN = 1 << 14  # entries per _cgc3_array call of _cg_entries
 
 
@@ -188,16 +204,10 @@ def _logfac_at(ns, mask):
     """lf of the array forms: ln(n!) where mask holds, 0 elsewhere.
 
     A masked slot is read at n = 0, so a negative argument never reaches
-    the table as a wrapped index.  Past special's table the values come
-    from log_factorial itself.
+    the table as a wrapped index.
     """
     n = np.where(mask, np.stack(ns), 0)
-    table = _LOGFAC_ARRAY
-    top = int(n.max(initial=0))
-    if top >= len(table):
-        table = np.concatenate(
-            (table, [log_factorial(k) for k in range(len(table), top + 1)]))
-    return table[n]
+    return _logfac_table(max(9, int(n.max(initial=0)).bit_length()))[1][n]
 
 
 def _int_arrays(*args):
@@ -302,11 +312,7 @@ def _wigner9j_array(ta, tb, tc, td, te, tf, tg, th, tk):
         np.stack([np.broadcast_to(f, tx.shape) for f in factors])
         for factors in zip((ta, td, tg, th, tk, tx), (tb, te, th, td, tx, tf),
                            (tc, tf, tk, tx, ta, tb))))
-    total = np.zeros(ok.shape)
-    for i in range(n_x):
-        total += np.where(ok, _sign(tx[i]) * (tx[i] + 1)
-                          * w1[i] * w2[i] * w3[i], 0.0)
-    return total
+    return np.where(ok, _sign(tx) * (tx + 1) * w1 * w2 * w3, 0.0).sum(axis=0)
 
 
 @lru_cache(maxsize=256)

@@ -1,10 +1,9 @@
 """Scalar special functions used throughout the package, and its input
 contract.
 
-Factorial ladders, Pochhammer symbols and the hypergeometric series
-0F1 / 2F1.  Everything here is pure and reentrant; the log-factorial
-table is filled once at import time.  The checks below are the one set
-every public function runs on its arguments; each ValueError names one.
+Log factorials, Pochhammer symbols and the hypergeometric series 0F1 /
+2F1.  Everything here is pure and reentrant.  The checks below are the one
+set every public function runs on its arguments; each ValueError names one.
 """
 
 import math
@@ -114,19 +113,9 @@ class SeriesControl:
 
 DEFAULT_SERIES = SeriesControl()
 
-# ln(n!) table; lgamma takes over past the cutoff.
-_LOGFAC_CUTOFF = 256
-_LOGFAC = [0.0] * (_LOGFAC_CUTOFF + 1)
-for _n in range(2, _LOGFAC_CUTOFF + 1):
-    _LOGFAC[_n] = _LOGFAC[_n - 1] + math.log(_n)
-
-
 def log_factorial(n):
     """ln(n!) for integer n >= 0."""
-    n = _rank("n", n)
-    if n <= _LOGFAC_CUTOFF:
-        return _LOGFAC[n]
-    return math.lgamma(n + 1.0)
+    return math.lgamma(_rank("n", n) + 1)
 
 
 def pochhammer(a, k):

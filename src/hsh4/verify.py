@@ -153,14 +153,15 @@ def c_harmonics_at_vectors(j, vecs):
 
 
 def _h_blockdiag_transform(G, j_max):
-    """Conjugate a C-family Gram into the H family: T^T G T, T = diag(T_j)."""
-    T = np.zeros(G.shape)
-    row = 0
+    """Conjugate a C-family Gram into the H family: T^T G T, T = diag(T_j),
+    one rank's block T_j at a time into G's rows and columns."""
+    out, lo = np.array(G), 0
     for j in range(j_max + 1):
-        d = (j + 1) ** 2
-        T[row:row + d, row:row + d] = h_to_c_matrix(j)
-        row += d
-    return T.T @ G @ T
+        rows, T = slice(lo, lo + (j + 1) ** 2), h_to_c_matrix(j)
+        out[rows] = T.T @ out[rows]
+        out[:, rows] = out[:, rows] @ T
+        lo = rows.stop
+    return out
 
 
 def gram_matrix(j_max, grid):
