@@ -87,7 +87,8 @@ def admissible_pair(j, l, lp):
 def plane_wave_radial(l, a, r, ctl=DEFAULT_SERIES):
     """Coefficient of C^1_l(a-hat . r-hat) in the expansion of e^{a.r}.
 
-    Equals (a^l r^l / (2^l l!)) 0F1(l+2; a^2 r^2 / 4).
+    Equals (a^l r^l / (2^l l!)) 0F1(l+2; a^2 r^2 / 4).  A value past the
+    float range raises ValueError.
     """
     l = _rank("l", l)
     _finite(a=a, r=r)
@@ -95,10 +96,15 @@ def plane_wave_radial(l, a, r, ctl=DEFAULT_SERIES):
     if x == 0.0:
         return float(l == 0)
     # (x/2)^l / l! in one exponent: 2^l l! alone overflows from l = 171.
-    lead = math.exp(l * math.log(abs(x) / 2.0) - log_factorial(l))
-    if x < 0.0 and l % 2:
-        lead = -lead
-    return lead * hyp0f1(l + 2, 0.25 * x * x, ctl)
+    try:
+        lead = math.exp(l * math.log(abs(x) / 2.0) - log_factorial(l))
+        value = lead * hyp0f1(l + 2, 0.25 * x * x, ctl)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"plane_wave_radial: the l = {l} coefficient at "
+                         f"a r = {x} exceeds the float range")
+    return -value if x < 0.0 and l % 2 else value
 
 
 def scalar_power_coeff(n, l):
@@ -145,7 +151,8 @@ def b_coeff(spec, l, lp):
 
     Inadmissible (l, lp) pairs give exactly 0, and so do the pairs past the
     end of a terminating expansion, where a Pochhammer factor crosses zero.
-    l and lp must be nonnegative integers (ValueError otherwise).
+    l and lp must be nonnegative integers, and a value past the float range
+    raises ValueError.
     """
     n, j = spec.n, spec.j
     l, lp = _rank("l", l), _rank("lp", lp)
@@ -168,11 +175,18 @@ def b_coeff(spec, l, lp):
     b = (l + lp - n) / 2.0
     z = (spec.r1 / spec.r2) ** 2
     hyp = hyp2f1(a, b, l + 2, z, spec.ctl)
-    if spec.r1 == 0.0:
-        lead = spec.r2 ** n if l == 0 else 0.0
-    else:
-        lead = spec.r2 ** n * (-spec.r1 / spec.r2) ** l
-    return lead * (lp + 1.0) / (j + 1.0) * ratio * hyp
+    try:
+        if spec.r1 == 0.0:
+            lead = spec.r2 ** n if l == 0 else 0.0
+        else:
+            lead = spec.r2 ** n * (-spec.r1 / spec.r2) ** l
+        value = lead * (lp + 1.0) / (j + 1.0) * ratio * hyp
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"b_coeff: B^({n} {j})_({l} {lp}) at r1 = "
+                         f"{spec.r1}, r2 = {spec.r2} exceeds the float range")
+    return value
 
 
 class CoeffTable:
@@ -210,7 +224,20 @@ class CoeffTable:
         rows = list(csv.reader(io.StringIO(text)))
         if not rows or rows[0] != ["l", "lp", "value"]:
             raise ValueError("expected CSV header 'l,lp,value'")
-        entries = {(int(l), int(lp)): float(v) for l, lp, v in rows[1:]}
+        entries = {}
+        for i, row in enumerate(rows[1:], start=2):
+            if len(row) != 3:
+                raise ValueError(f"CSV row {i} holds {len(row)} values, "
+                                 f"not the three of 'l,lp,value'")
+            values = []
+            for column, text, parse in zip(rows[0], row, (int, int, float)):
+                try:
+                    values.append(parse(text))
+                except ValueError:
+                    raise ValueError(f"CSV row {i}, column {column}: cannot "
+                                     f"read {text!r} as {parse.__name__}"
+                                     ) from None
+            entries[values[0], values[1]] = values[2]
         return cls(entries, terminated, j=j)
 
     def to_json(self):
@@ -235,9 +262,18 @@ class CoeffTable:
         spec = None
         if payload.get("spec") is not None:
             spec = ExpansionSpec(**payload["spec"])
-        entries = {(e["l"], e["lp"]): e["value"] for e in payload["entries"]}
-        return cls(entries, payload["terminated"], spec=spec,
-                   j=payload.get("j"))
+        try:
+            rows, terminated = payload["entries"], payload["terminated"]
+        except KeyError as exc:
+            raise ValueError(f"CoeffTable JSON lacks the key {exc}") from None
+        entries = {}
+        for i, e in enumerate(rows):
+            try:
+                entries[e["l"], e["lp"]] = e["value"]
+            except KeyError as exc:
+                raise ValueError(f"CoeffTable JSON entry {i} lacks the key "
+                                 f"{exc}") from None
+        return cls(entries, terminated, spec=spec, j=payload.get("j"))
 
 
 def _pair_range(j, l):

@@ -122,12 +122,15 @@ def pochhammer(a, k):
     """Rising factorial (a)_k = a (a+1) ... (a+k-1), with (a)_0 = 1.
 
     Computed as a direct product, which keeps the exact zero when a is a
-    nonpositive integer and the product crosses it.
+    nonpositive integer and the product crosses it.  A product past the
+    float range raises ValueError.
     """
     _finite(a=a)
     result = 1.0
     for i in range(_rank("k", k)):
         result *= a + i
+    if not math.isfinite(result):
+        raise ValueError(f"pochhammer: ({a})_{k} exceeds the float range")
     return result
 
 
@@ -142,8 +145,8 @@ def hyp2f1(a, b, c, z, ctl=DEFAULT_SERIES):
     their finite terms, whatever ctl says; otherwise partial sums run until
     the relative change drops below ctl.tol, which requires |z| < 1, or
     raise ConvergenceError after ctl.max_terms terms.  A non-finite argument,
-    or a c that is a nonpositive integer the series reaches, raises
-    ValueError.
+    a c that is a nonpositive integer the series reaches, or partial sums
+    past the float range raise ValueError.
     """
     # The sum is non-finite whenever an argument is, and overflows when an
     # int argument is past the float range, so the full check, which names
@@ -176,15 +179,22 @@ def hyp2f1(a, b, c, z, ctl=DEFAULT_SERIES):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
         total += term
         if not terminating and abs(term) <= ctl.tol * abs(total):
-            return total
-    if terminating:
-        return total
-    raise ConvergenceError(f"hyp2f1({a}, {b}; {c}; {z}) did not converge in "
-                           f"{ctl.max_terms} terms")
+            break
+    else:
+        if not terminating:
+            raise ConvergenceError(f"hyp2f1({a}, {b}; {c}; {z}) did not "
+                                   f"converge in {ctl.max_terms} terms")
+    if not math.isfinite(total):
+        raise ValueError(f"hyp2f1: the partial sums of 2F1({a}, {b}; {c}; "
+                         f"{z}) exceed the float range")
+    return total
 
 
 def hyp0f1(c, z, ctl=DEFAULT_SERIES):
-    """Confluent limit series 0F1(; c; z) = sum_k z^k / ((c)_k k!)."""
+    """Confluent limit series 0F1(; c; z) = sum_k z^k / ((c)_k k!).
+
+    Partial sums past the float range raise ValueError.
+    """
     _finite(c=c, z=z)
     if _nonpositive_int(c):
         raise ValueError(f"hyp0f1: c must not be a nonpositive integer, "
@@ -195,6 +205,11 @@ def hyp0f1(c, z, ctl=DEFAULT_SERIES):
         term *= z / ((c + k) * (k + 1))
         total += term
         if abs(term) <= ctl.tol * abs(total):
-            return total
-    raise ConvergenceError(f"hyp0f1({c}; {z}) did not converge in "
-                           f"{ctl.max_terms} terms")
+            break
+    else:
+        raise ConvergenceError(f"hyp0f1({c}; {z}) did not converge in "
+                               f"{ctl.max_terms} terms")
+    if not math.isfinite(total):
+        raise ValueError(f"hyp0f1: the partial sums of 0F1(; {c}; {z}) "
+                         f"exceed the float range")
+    return total

@@ -255,9 +255,24 @@ def test_array_racah_sums_selection_rules_and_shapes():
     assert col.shape == (5,)
     assert col == pytest.approx([cgc3(4, m, 4, -m, 4, 0) for m in tm1],
                                 abs=1e-15)
-    # a stretched coupling reads log factorials past special's table
+    # a stretched coupling reads log factorials past n = 256, from lgamma
     assert _cgc3_array(300, 300, 2, 0, 302, 300) == pytest.approx(
         cgc3(300, 300, 2, 0, 302, 300), rel=1e-13)
+
+
+def test_racah_sums_read_one_table_past_its_first_size():
+    # C^{301 300}_{300 300, 1 0} = 1/sqrt(301) reads 603!, past the 512
+    # entries that every smaller argument reads: the scalar symbol and the
+    # array form then read one larger table, with the same first entries.
+    ref = 1.0 / math.sqrt(301.0)
+    assert cgc3(600, 600, 2, 0, 602, 600) == pytest.approx(ref, rel=1e-13)
+    assert _cgc3_array(600, 600, 2, 0, 602, 600) == pytest.approx(ref,
+                                                                  rel=1e-13)
+    small, big = angular._logfac_table(9), angular._logfac_table(10)
+    assert big[0][:512] == small[0] and len(big[0]) == 1024
+    assert big[0][603] == math.lgamma(604.0)
+    np.testing.assert_array_equal(big[1], big[0])
+    assert not big[1].flags.writeable
 
 
 def test_cg_entries_are_the_nonzero_cgc3(monkeypatch):

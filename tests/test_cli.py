@@ -14,6 +14,7 @@ import yaml
 
 import hsh4
 from hsh4.cli import main
+from hsh4.harmonics import hsh_h
 from hsh4.multipole import CoeffTable, eval_expansion
 
 
@@ -41,6 +42,18 @@ def test_eval_h_doubled(capsys):
     assert payload["re"] == pytest.approx(1 / math.sqrt(2) * math.sqrt(2))
 
 
+def test_eval_h_doubles_plain_projections(capsys):
+    # Without --doubled, --mu 1 --nu -1 are mu = 1, nu = -1: 2mu = 2, 2nu = -2.
+    code, out, _ = _run(capsys, "eval", "--family", "h", "--j", "2",
+                        "--mu", "1", "--nu", "-1",
+                        "--point", "0.1,0.2,0.9,0.4", "--output", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["harmonic"] == "H[j=2,2mu=2,2nu=-2]"
+    ref = hsh_h(2, 2, -2, np.array([0.1, 0.2, 0.9, 0.4]))
+    assert complex(payload["re"], payload["im"]) == ref
+
+
 def test_cgc_with_closed_form(capsys):
     code, out, _ = _run(capsys, "cgc", "--family", "c",
                         "--q", "1,0,0,1,0,0,2,0,0")
@@ -48,6 +61,16 @@ def test_cgc_with_closed_form(capsys):
     assert "0.86602540378443" in out
     assert "closed[" in out
     assert "diff" in out
+
+
+def test_cgc_closed_form_past_the_first_case(capsys):
+    # j = j2 - j1 fails the first two cases' patterns and matches 'diff'.
+    code, out, _ = _run(capsys, "cgc", "--family", "c", "--output", "json",
+                        "--q", "1,0,0,2,1,0,1,1,0")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["closed_form"]["case"] == "diff"
+    assert abs(payload["closed_form"]["difference"]) <= 1e-15
 
 
 def test_cgc_h_family(capsys):
@@ -168,6 +191,22 @@ def test_eval_c_without_labels_exit_two(capsys):
                         "--point", "0,0,0,1")
     assert code == 2
     assert "--lambda" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (("eval", "--family", "h", "--j", "2", "--nu", "0", "--point",
+      "0,0,0,1"), "--mu"),
+    (("cgc", "--family", "c", "--q", "1,0,0,1,0,0,2,0"), "nine"),
+    (("ninej", "--q", "1,1,2,1,1,2,2,2"), "nine"),
+    # B = r2^2 is past the float range.
+    (("expand", "--n", "2", "--j", "0", "--r1", "1e199", "--r2", "1e200",
+      "--lmax", "2"), "float range"),
+])
+def test_missing_or_overflowing_input_exit_two(capsys, argv, needle):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == "" and "error:" in err and needle in err
+    assert "Traceback" not in err
 
 
 def test_nonconvergent_series_exit_two(capsys):
@@ -313,4 +352,4 @@ def test_ci_console_script_step_replays():
         env={**os.environ, "PYTHONPATH": str(root / "src"),
              "HSH4_PYTHON": sys.executable})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.count("error: ") == 3  # the three exit-2 lines
+    assert proc.stderr.count("error: ") == 4  # the four exit-2 lines

@@ -442,6 +442,54 @@ PROBES = [
     pytest.param(lambda: multipole.CoeffTable({(0, 0): 1j, (1, 1): 10**400},
                                               False), "entries",
                  id="complex-huge-int-entries"),
+    # A result past the float range, which once raised a bare
+    # OverflowError or came back as a silent inf; the error names the
+    # quantity.
+    pytest.param(lambda: multipole.b_coeff(multipole.ExpansionSpec(
+        2, 0, 1e199, 1e200, l_max=2), 0, 0), "b_coeff:",
+                 id="overflow-b-coeff-r2"),
+    pytest.param(lambda: multipole.b_coeff(multipole.ExpansionSpec(
+        -400, 0, 1e-3, 1e-2, l_max=2), 0, 0), "b_coeff:",
+                 id="overflow-b-coeff-n"),
+    pytest.param(lambda: multipole.plane_wave_radial(400, 1e3, 1e3),
+                 "plane_wave_radial:", id="overflow-plane-wave-lead"),
+    pytest.param(lambda: multipole.plane_wave_radial(0, 800.0, 1.0),
+                 "hyp0f1:", id="overflow-plane-wave-0f1"),
+    pytest.param(lambda: special.hyp0f1(2, 160000.0), "hyp0f1:",
+                 id="overflow-hyp0f1"),
+    pytest.param(lambda: special.pochhammer(1e200, 3), "pochhammer:",
+                 id="overflow-pochhammer"),
+    # The true value, 0.1^2000.5, is the float 0; the partial sums overflow.
+    pytest.param(lambda: special.hyp2f1(-2000.5, 1, 1, 0.9), "hyp2f1:",
+                 id="overflow-hyp2f1"),
+    # Serialised tables: the missing key, or the row and column.
+    pytest.param(lambda: multipole.CoeffTable.from_json('{"entries": []}'),
+                 "'terminated'", id="json-no-terminated"),
+    pytest.param(lambda: multipole.CoeffTable.from_json(
+        '{"terminated": false, "entries": [{"l": 1, "value": 1.0}]}'),
+                 "'lp'", id="json-entry-no-lp"),
+    pytest.param(lambda: multipole.CoeffTable.from_csv("l,lp,value\n1,1\n"),
+                 "row 2", id="csv-short-row"),
+    pytest.param(lambda: multipole.CoeffTable.from_csv(
+        "l,lp,value\nx,0,1\n"), "column l:", id="csv-bad-int"),
+    pytest.param(lambda: multipole.CoeffTable.from_csv("a,b,c\n"), "header",
+                 id="csv-header"),
+    # Branches no other test reaches.
+    pytest.param(lambda: multipole.ExpansionSpec(-2, 0, -0.5, 1.0), "r1",
+                 id="negative-r1"),
+    pytest.param(lambda: multipole.ExpansionSpec(-2, 0, 0.5, 0.0), "r2",
+                 id="zero-r2"),
+    pytest.param(lambda: special.hyp2f1(0.5, 0.5, -1, 0.3), "c",
+                 id="hyp2f1-pole"),
+    pytest.param(lambda: special.hyp0f1(-2, 0.5), "c", id="hyp0f1-pole"),
+    pytest.param(lambda: coupling.cgc4_c_closed(
+        "stretched", 1, 0, 0, 1, 0, 0, 0, 0, 0), "'stretched'",
+                 id="closed-stretched-pattern"),
+    pytest.param(lambda: coupling.cgc4_c_closed(
+        "diff", 1, 0, 0, 2, 0, 0, 3, 0, 0), "'diff'",
+                 id="closed-diff-pattern"),
+    pytest.param(lambda: coupling.linearize_product(
+        "x", 1, (1, 0), 1, (1, 0), V), "family", id="linearize-family"),
 ]
 
 

@@ -30,6 +30,21 @@ def test_spec_validation():
     ExpansionSpec(2.0, 0, 1.5, 1.0)
 
 
+def test_spec_rejects_other_series_control():
+    with pytest.raises(TypeError, match="ctl must be a SeriesControl"):
+        ExpansionSpec(-2.0, 0, 0.5, 1.0, ctl=1e-14)
+
+
+@pytest.mark.parametrize("n,j", [(-2.0, 0), (1.5, 2), (-3.0, 1)])
+def test_b_coeff_at_zero_r1(n, j):
+    # At r1 = 0 the kernel is r2^n C_j(r2-hat): only (l, lp) = (0, j) stays.
+    spec = ExpansionSpec(n, j, 0.0, 1.5, l_max=4)
+    assert b_coeff(spec, 0, j) == pytest.approx(1.5 ** n, rel=1e-15)
+    for l in range(1, 5):
+        for lp in range(abs(j - l), j + l + 1, 2):
+            assert b_coeff(spec, l, lp) == 0.0
+
+
 @pytest.mark.parametrize("n,r1,r2", [(-2.0, math.nan, 1.0),
                                      (-2.0, 0.5, math.inf),
                                      (math.nan, 0.5, 1.0)])

@@ -101,3 +101,9 @@ def test_series_control_cap():
     slow = SeriesControl(tol=1e-14, max_terms=3)
     with pytest.raises(ConvergenceError):
         hyp2f1(0.5, 0.5, 1.5, 0.99, slow)
+
+
+def test_hyp0f1_cap():
+    with pytest.raises(ConvergenceError, match=r"hyp0f1\(1.5; 10000.0\) did "
+                       r"not converge in 5 terms"):
+        hyp0f1(1.5, 1e4, SeriesControl(max_terms=5))
