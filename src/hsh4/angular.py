@@ -52,7 +52,7 @@ def _logfac_table(bits):
     return tuple(table), array
 
 
-_LOGFAC = _logfac_table(9)[0]
+_LOGFAC = _logfac_table(9)[0]  # the scalar symbols' fast path, n < 512
 
 
 def _log_factorials(ns):
@@ -192,10 +192,10 @@ def wigner9j(ta, tb, tc, td, te, tf, tg, th, tk):
 # arrays of doubled arguments and give 0 wherever a selection rule fails.
 # Each reads its first terms' log factorials from the scalar symbols' table
 # in one lookup and pads the summation axis (k, t or x) to its longest
-# range.  The scalar symbols stay
-# as the single-coefficient route and as the arrays' test reference.
-# _cg_entries enumerates the nonzero CG of a batch of triples for both
-# bipolar plans and the H-C basis change of harmonics.
+# range.  The scalar symbols stay as the single-coefficient route and as
+# the arrays' test reference.  _cg_entries enumerates the nonzero CG of a
+# batch of triples for both bipolar plans and the H-C basis change of
+# harmonics.
 
 _CG_RUN = 1 << 14  # entries per _cgc3_array call of _cg_entries
 
