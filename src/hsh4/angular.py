@@ -11,7 +11,7 @@ All angular momenta and projections are passed as doubled integers (2j,
 """
 
 import math
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -77,15 +77,22 @@ def _cg_ratio(k, a, b, c, d, e):
     return -(a - k) * (b - k) * (c - k) / ((k + 1) * (d + k + 1) * (e + k + 1))
 
 
-def _cg_log_first(lf, k, a, b, c, d, e, tj):
-    """ln of term k times the prefactor over sqrt(2j + 1): Delta(j1 j2 j) =
-    a! (b+d)! (c+e)! / (a+2j+1)! and the (j +- m)! of j1, j2 and j, which
-    are (a+d)!, b!, c!, (a+e)!, (c+d)! and (b+e)!."""
-    f = lf([a, b + d, c + e, a + tj + 1, a + d, b, c, a + e, c + d, b + e,
+def _cg_log_delta(lf, tj1, tj2, tj):
+    """ln Delta(j1 j2 j) = ln(a! (j1-j2+j)! (j2-j1+j)! / (j1+j2+j+1)!), a =
+    j1 + j2 - j: the part of the prefactor that the triple fixes."""
+    f = lf([(tj1 + tj2 - tj) // 2, (tj1 - tj2 + tj) // 2,
+            (tj2 - tj1 + tj) // 2, (tj1 + tj2 + tj) // 2 + 1])
+    return f[0] + f[1] + f[2] - f[3]
+
+
+def _cg_log_first(lf, delta, k, a, b, c, d, e):
+    """ln of term k times the prefactor over sqrt(2j + 1): delta, then the
+    (j +- m)! of j1, j2 and j, which are (a+d)!, b!, c!, (a+e)!, (c+d)! and
+    (b+e)!."""
+    f = lf([a + d, b, c, a + e, c + d, b + e,
             k, a - k, b - k, c - k, d + k, e + k])
-    return (0.5 * (f[0] + f[1] + f[2] - f[3] + f[4] + f[5] + f[6] + f[7]
-                   + f[8] + f[9])
-            - (f[10] + f[11] + f[12] + f[13] + f[14] + f[15]))
+    return (0.5 * (delta + f[0] + f[1] + f[2] + f[3] + f[4] + f[5])
+            - (f[6] + f[7] + f[8] + f[9] + f[10] + f[11]))
 
 
 def cgc3(tj1, tm1, tj2, tm2, tj, tm):
@@ -107,7 +114,9 @@ def cgc3(tj1, tm1, tj2, tm2, tj, tm):
     for k in range(k_min, k_max):
         term *= _cg_ratio(k, a, b, c, d, e)
         total += term
-    log0 = _cg_log_first(_log_factorials, k_min, a, b, c, d, e, tj)
+    log0 = _cg_log_first(_log_factorials,
+                         _cg_log_delta(_log_factorials, tj1, tj2, tj),
+                         k_min, a, b, c, d, e)
     return math.sqrt(tj + 1.0) * math.exp(log0) * total
 
 
@@ -131,9 +140,8 @@ def _6j_terms(ta, tb, tc, td, te, tf):
              (tb + tc + te + tf) // 2])
 
 
-def _6j_ratio(t, lows, highs):
-    """Term t + 1 over term t of the 6j sum."""
-    (l1, l2, l3, l4), (h1, h2, h3) = lows, highs
+def _6j_ratio(t, l1, l2, l3, l4, h1, h2, h3):
+    """Term t + 1 over term t of the 6j sum, lows l and highs h."""
     return (-(t + 2) * (h1 - t) * (h2 - t) * (h3 - t)
             / ((t + 1 - l1) * (t + 1 - l2) * (t + 1 - l3) * (t + 1 - l4)))
 
@@ -158,7 +166,7 @@ def _wigner6j(ta, tb, tc, td, te, tf):
     t_min = max(lows)
     term = total = (-1.0) ** t_min
     for t in range(t_min, min(highs)):
-        term *= _6j_ratio(t, lows, highs)
+        term *= _6j_ratio(t, *lows, *highs)
         total += term
     log0 = _6j_log_first(_log_factorials, t_min, triads, lows, highs)
     return math.exp(log0) * total
@@ -190,24 +198,22 @@ def wigner9j(ta, tb, tc, td, te, tf, tg, th, tk):
 
 # Array forms of the three Racah sums.  They take broadcastable numpy
 # arrays of doubled arguments and give 0 wherever a selection rule fails.
-# Each reads its first terms' log factorials from the scalar symbols' table
-# in one lookup and pads the summation axis (k, t or x) to its longest
-# range.  The scalar symbols stay as the single-coefficient route and as
-# the arrays' test reference.  _cg_entries enumerates the nonzero CG of a
-# batch of triples for both bipolar plans and the H-C basis change of
-# harmonics.
+# The CG and 6j forms run an unmasked core (_cg_core, _6j_core) on valid
+# argument sets, which reads its first terms' log factorials from the
+# scalar symbols' table and steps each sum through its own range; the 9j
+# runs _6j_core on its live slots.  The scalar symbols stay as the
+# single-coefficient route and as the arrays' test reference.  _cg_entries
+# enumerates the nonzero CG of a batch of triples for both bipolar plans
+# and the H-C basis change of harmonics, on _cg_core alone: every argument
+# set it enumerates is valid.
 
-_CG_RUN = 1 << 14  # entries per _cgc3_array call of _cg_entries
+_CG_RUN = 1 << 14  # entries per _cg_core call of _cg_entries
 
 
-def _logfac_at(ns, mask):
-    """lf of the array forms: ln(n!) where mask holds, 0 elsewhere.
-
-    A masked slot is read at n = 0, so a negative argument never reaches
-    the table as a wrapped index.
-    """
-    n = np.where(mask, np.stack(ns), 0)
-    return _logfac_table(max(9, int(n.max(initial=0)).bit_length()))[1][n]
+def _logfac_reader(top):
+    """lf of the array forms for arguments 0 <= n <= top: one gather each."""
+    table = _logfac_table(max(9, int(top).bit_length()))[1]
+    return lambda ns: [table[n] for n in ns]
 
 
 def _int_arrays(*args):
@@ -227,29 +233,45 @@ def _sign(n):
     return np.where(n % 2, -1.0, 1.0)
 
 
-def _ratio_sum(ratio, terms, k_min, k_max, ok):
-    """The scalar symbols' ratio loop, elementwise, and 0 where ok fails.
-    Past an element's own k_max its ratio has a zero factor, so the padded
-    axis adds exact zeros."""
-    term = np.where(ok, _sign(k_min), 0.0)
+def _ratio_sum(ratio, terms, k_min, k_max):
+    """The scalar symbols' ratio loop, elementwise over the sums whose
+    integer parameters are the arrays terms.  Step i runs only where k_min
+    + i < k_max: elsewhere the ratio has a zero factor, and the step would
+    add an exact zero."""
+    shape, k_min = k_min.shape, k_min.ravel()
+    terms = [x.ravel() for x in terms]
+    steps = k_max.ravel() - k_min
+    term = _sign(k_min)
     total = term.copy()
-    for i in range(_span(k_min, k_max, ok) - 1):
-        term *= ratio(k_min + i, *terms)
-        total += term
-    return total
+    for i in range(int(steps.max(initial=0))):
+        at = np.flatnonzero(steps > i)
+        term[at] *= ratio(k_min[at] + i, *(x[at] for x in terms))
+        total[at] += term[at]
+    return total.reshape(shape)
+
+
+def _cg_core(lf, delta, tj, a, b, c, d, e):
+    """cgc3 of valid argument sets from their 2j, Racah parameters a..e
+    (_cg_terms) and delta (_cg_log_delta), as int arrays (no mask)."""
+    k_min = np.maximum(0, np.maximum(-d, -e))
+    total = _ratio_sum(_cg_ratio, (a, b, c, d, e), k_min,
+                       np.minimum(a, np.minimum(b, c)))
+    log0 = _cg_log_first(lf, delta, k_min, a, b, c, d, e)
+    return np.sqrt(tj + 1.0) * np.exp(log0) * total
 
 
 def _cgc3_array(tj1, tm1, tj2, tm2, tj, tm):
-    """cgc3 over broadcast arrays of doubled arguments."""
+    """cgc3 over broadcast arrays of doubled arguments: _cg_core, with
+    C^{0 0}_{0 0, 0 0} standing in for each invalid argument set."""
     tj1, tm1, tj2, tm2, tj, tm = _int_arrays(tj1, tm1, tj2, tm2, tj, tm)
     ok = (_triangle_ok(tj1, tj2, tj) & (tm1 + tm2 == tm)
           & _jm_mask(tj1, tm1) & _jm_mask(tj2, tm2) & _jm_mask(tj, tm))
-    a, b, c, d, e = terms = _cg_terms(tj1, tm1, tj2, tm2, tj)
-    k_min = np.maximum(0, np.maximum(-d, -e))
-    total = _ratio_sum(_cg_ratio, terms, k_min,
-                       np.minimum(a, np.minimum(b, c)), ok)
-    log0 = _cg_log_first(partial(_logfac_at, mask=ok), k_min, *terms, tj)
-    return np.sqrt(tj + 1.0) * np.exp(log0) * total
+    tj1, tm1, tj2, tm2, tj = (np.where(ok, x, 0)
+                              for x in (tj1, tm1, tj2, tm2, tj))
+    lf = _logfac_reader(np.max(tj1 + tj2 + tj, initial=0) // 2 + 1)
+    value = _cg_core(lf, _cg_log_delta(lf, tj1, tj2, tj), tj,
+                     *_cg_terms(tj1, tm1, tj2, tm2, tj))
+    return np.where(ok, value, 0.0)
 
 
 def _cg_entries(tj1, tj2, tj):
@@ -258,38 +280,55 @@ def _cg_entries(tj1, tj2, tj):
     tj1, tj2 and tj broadcast to the batch; a triple that fails the
     triangle rule has none.  Returns flat arrays (t, tm1, tm2, value), t the
     triple's position in the flattened batch, ordered by t, then m, then m1.
-    Each (m, m1) grid is enumerated with m2 = m - m1.  _cgc3_array sums
-    runs of _CG_RUN entries, which bounds its temporaries and pads its k
-    axis only to the longest range in each run.
+    Only the triangle's triples are enumerated, and in each row (triple, m)
+    only the m1 with |m - m1| <= j2, so every slot is a valid argument set.
+    _cg_core sums runs of _CG_RUN slots, which bounds its temporaries.  All
+    runs read one ln n! table, sized for the largest argument, j1 + j2 + j
+    + 1, and the Delta of each triple, taken once.
     """
-    tj1, tj2, tj = (a.ravel() for a in _int_arrays(tj1, tj2, tj))
-    size = (tj + 1) * (tj1 + 1)
-    t = np.repeat(np.arange(len(size)), size)
-    # Slot s of triple t is (m, m1) on its row-major (2j+1) x (2j1+1) grid.
-    s = np.arange(len(t)) - (np.cumsum(size) - size)[t]
-    im, im1 = np.divmod(s, tj1[t] + 1)
-    tm1 = 2 * im1 - tj1[t]
-    tm2 = 2 * im - tj[t] - tm1
-    live = np.abs(tm2) <= tj2[t]
-    t, tm1, tm2 = t[live], tm1[live], tm2[live]
-    args = (tj1[t], tm1, tj2[t], tm2, tj[t], tm1 + tm2)
+    tj1, tj2, tj = (x.ravel() for x in _int_arrays(tj1, tj2, tj))
+    keep = np.flatnonzero(_triangle_ok(tj1, tj2, tj))
+    tj1, tj2, tj = tj1[keep], tj2[keep], tj[keep]
+    lf = _logfac_reader(np.max(tj1 + tj2 + tj, initial=0) // 2 + 1)
+    delta = _cg_log_delta(lf, tj1, tj2, tj)
+    # Row r of triple rt holds 2m = tm, and its slot i holds 2m1 = lo + 2i.
+    rt = np.repeat(np.arange(len(tj)), tj + 1)
+    tm = 2 * (np.arange(len(rt)) - (np.cumsum(tj + 1) - tj - 1)[rt]) - tj[rt]
+    lo = np.maximum(-tj1[rt], tm - tj2[rt])
+    width = (np.minimum(tj1[rt], tm + tj2[rt]) - lo) // 2 + 1
+    r = np.repeat(np.arange(len(rt)), width)
+    i = np.arange(len(r)) - (np.cumsum(width) - width)[r]
+    t = rt[r]
+    tm1 = lo[r] + 2 * i
+    tm2 = tm[r] - tm1
+    # Racah's parameters of each row's slot 0; along the row b and c fall
+    # by i, and d and e rise by i.
+    a, b, c, d, e = _cg_terms(tj1[rt], lo, tj2[rt], tm - lo, tj[rt])
+    args = (delta[t], tj[t], a[r], b[r] - i, c[r] - i, d[r] + i, e[r] + i)
     value = np.empty(len(t))
-    for i in range(0, len(t), _CG_RUN):
-        value[i:i + _CG_RUN] = _cgc3_array(*(a[i:i + _CG_RUN] for a in args))
+    for k in range(0, len(t), _CG_RUN):
+        value[k:k + _CG_RUN] = _cg_core(lf, *(x[k:k + _CG_RUN] for x in args))
     nz = value != 0.0
-    return t[nz], tm1[nz], tm2[nz], value[nz]
+    return keep[t[nz]], tm1[nz], tm2[nz], value[nz]
+
+
+def _6j_core(ta, tb, tc, td, te, tf):
+    """wigner6j over int arrays whose triads all hold (no mask)."""
+    triads, lows, highs = _6j_terms(ta, tb, tc, td, te, tf)
+    t_min = np.maximum.reduce(lows)
+    total = _ratio_sum(_6j_ratio, lows + highs, t_min,
+                       np.minimum.reduce(highs))
+    lf = _logfac_reader(np.max(np.maximum.reduce(highs), initial=0) + 1)
+    return np.exp(_6j_log_first(lf, t_min, triads, lows, highs)) * total
 
 
 def _wigner6j_array(ta, tb, tc, td, te, tf):
-    """wigner6j over broadcast arrays of doubled arguments."""
-    triads, lows, highs = _6j_terms(*_int_arrays(ta, tb, tc, td, te, tf))
-    ok = np.logical_and.reduce([_triangle_ok(*t) for t in triads])
-    t_min = np.maximum.reduce(lows)
-    total = _ratio_sum(_6j_ratio, (lows, highs), t_min,
-                       np.minimum.reduce(highs), ok)
-    log0 = _6j_log_first(partial(_logfac_at, mask=ok), t_min, triads, lows,
-                         highs)
-    return np.exp(log0) * total
+    """wigner6j over broadcast arrays of doubled arguments: _6j_core, with
+    {0 0 0; 0 0 0} standing in for each argument set whose triads fail."""
+    args = _int_arrays(ta, tb, tc, td, te, tf)
+    ok = np.logical_and.reduce([_triangle_ok(*t)
+                                for t in _6j_terms(*args)[0]])
+    return np.where(ok, _6j_core(*(np.where(ok, x, 0) for x in args)), 0.0)
 
 
 def _wigner9j_array(ta, tb, tc, td, te, tf, tg, th, tk):
@@ -303,16 +342,18 @@ def _wigner9j_array(ta, tb, tc, td, te, tf, tg, th, tk):
                                 np.abs(td - th)])
     tx_max = np.minimum.reduce([ta + tk, tb + tf, td + th])
     n_x = _span(tx_min // 2, tx_max // 2, ok)
-    # Slot i holds 2x = tx_min + 2i.  A slot past tx_max breaks a triad of
-    # a 6j factor, which then vanishes.
+    # Slot i holds 2x = tx_min + 2i.  Where the rows and columns hold, every
+    # triad of the three 6j factors holds up to tx_max, so those slots alone
+    # are live, and the three factors of all of them come from one call.
     tx = tx_min + 2 * np.arange(n_x).reshape((-1,) + (1,) * ok.ndim)
-    # The three 6j factors of every slot, stacked on a leading axis of
-    # length 3, in one call.
-    w1, w2, w3 = _wigner6j_array(*(
-        np.stack([np.broadcast_to(f, tx.shape) for f in factors])
+    live = ok & (tx <= tx_max)
+    w1, w2, w3 = _6j_core(*(
+        np.stack([np.broadcast_to(f, tx.shape)[live] for f in factors])
         for factors in zip((ta, td, tg, th, tk, tx), (tb, te, th, td, tx, tf),
                            (tc, tf, tk, tx, ta, tb))))
-    return np.where(ok, _sign(tx) * (tx + 1) * w1 * w2 * w3, 0.0).sum(axis=0)
+    tx, slots = tx[live], np.zeros(live.shape)
+    slots[live] = _sign(tx) * (tx + 1) * w1 * w2 * w3
+    return slots.sum(axis=0)
 
 
 @lru_cache(maxsize=256)

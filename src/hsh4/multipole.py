@@ -24,7 +24,8 @@ from .angular import _triangle_ok
 from .coupling import bipolar_values, cgc4_c, cgc4_c_closed
 from .harmonics import c_components, c_table
 from .special import (DEFAULT_SERIES, SeriesControl, _finite, _floats,
-                      _rank, _tol, hyp0f1, hyp2f1, log_factorial)
+                      _hyp2f1_array, _rank, _tol, hyp0f1, hyp2f1,
+                      log_factorial)
 
 __all__ = [
     "ExpansionSpec", "CoeffTable", "admissible_pair", "plane_wave_radial",
@@ -146,13 +147,54 @@ def laplacian_power(n, j, k):
                          f"float range") from None
 
 
+# b_coeff and expand_translated share the helpers below, so one
+# coefficient and a whole table add the same factors in the same order.
+# B_{l lp} = lead(l) (lp+1)/(j+1) (a0)_ka (b0)_kb / l! 2F1(a0 + ka, b0 + kb;
+# l + 2; (r1/r2)^2), with ka = (j + l - lp)/2, kb = l - ka, a0 = (-2-j-n)/2
+# and b0 = (j-n)/2.  The Pochhammer ratio is one running product of the
+# steps _a_step over i < ka, then _b_step over i < kb: the Pochhammer
+# symbols and l! overflow apart from l ~ 158, and a factor that crosses
+# zero keeps the product exactly 0.
+
+def _pochhammer_bases(n, j):
+    return (-2.0 - j - n) / 2.0, (j - n) / 2.0
+
+
+def _a_step(a0, i):
+    return (a0 + i) / (i + 1)
+
+
+def _b_step(b0, ka, i):
+    return (b0 + i) / (ka + i + 1)
+
+
+def _hyp_args(n, l, lp):
+    """(a, b) of the 2F1 of B_{l lp}; its c is l + 2."""
+    return (-2.0 + l - lp - n) / 2.0, (l + lp - n) / 2.0
+
+
+def _lead(spec, l):
+    """r2^n (-r1/r2)^l by Python's float power, inf where it overflows."""
+    try:
+        if spec.r1 == 0.0:
+            return spec.r2 ** spec.n if l == 0 else 0.0
+        return spec.r2 ** spec.n * (-spec.r1 / spec.r2) ** l
+    except OverflowError:
+        return math.inf
+
+
+def _b_value(lead, lp, j, ratio, hyp):
+    return lead * (lp + 1.0) / (j + 1.0) * ratio * hyp
+
+
 def b_coeff(spec, l, lp):
     """Multipole coefficient B^{(n j)}_{l lp} of spec's expansion.
 
     Inadmissible (l, lp) pairs give exactly 0, and so do the pairs past the
     end of a terminating expansion, where a Pochhammer factor crosses zero.
     l and lp must be nonnegative integers, and a value past the float range
-    raises ValueError.
+    raises ValueError.  The single-coefficient route; expand_translated
+    builds a whole table in one array pass, bit for bit the same.
     """
     n, j = spec.n, spec.j
     l, lp = _rank("l", l), _rank("lp", lp)
@@ -160,29 +202,17 @@ def b_coeff(spec, l, lp):
         return 0.0
     ka = (j + l - lp) // 2
     kb = (l + lp - j) // 2
-    # (a0)_ka (b0)_kb / l! with l = ka + kb, as one running product of
-    # ratios: the Pochhammer symbols and l! overflow apart from l ~ 158.
-    # A Pochhammer factor that crosses zero keeps the product exactly 0.
-    a0, b0 = (-2.0 - j - n) / 2.0, (j - n) / 2.0
+    a0, b0 = _pochhammer_bases(n, j)
     ratio = 1.0
     for i in range(ka):
-        ratio *= (a0 + i) / (i + 1)
+        ratio *= _a_step(a0, i)
     for i in range(kb):
-        ratio *= (b0 + i) / (ka + i + 1)
+        ratio *= _b_step(b0, ka, i)
     if ratio == 0.0:
         return 0.0
-    a = (-2.0 + l - lp - n) / 2.0
-    b = (l + lp - n) / 2.0
-    z = (spec.r1 / spec.r2) ** 2
-    hyp = hyp2f1(a, b, l + 2, z, spec.ctl)
-    try:
-        if spec.r1 == 0.0:
-            lead = spec.r2 ** n if l == 0 else 0.0
-        else:
-            lead = spec.r2 ** n * (-spec.r1 / spec.r2) ** l
-        value = lead * (lp + 1.0) / (j + 1.0) * ratio * hyp
-    except OverflowError:
-        value = math.inf
+    a, b = _hyp_args(n, l, lp)
+    hyp = hyp2f1(a, b, l + 2, (spec.r1 / spec.r2) ** 2, spec.ctl)
+    value = _b_value(_lead(spec, l), lp, j, ratio, hyp)
     if not math.isfinite(value):
         raise ValueError(f"b_coeff: B^({n} {j})_({l} {lp}) at r1 = "
                          f"{spec.r1}, r2 = {spec.r2} exceeds the float range")
@@ -200,6 +230,15 @@ class CoeffTable:
         self.spec = spec
         self.j = spec.j if spec is not None else (
             None if j is None else _rank("rank j", j))
+
+    @classmethod
+    def _of_spec(cls, entries, spec):
+        """spec's table from entries already keyed by int pairs and holding
+        finite floats, which __init__ would check one by one again."""
+        table = cls.__new__(cls)
+        table.entries, table.terminated = entries, spec.terminated
+        table.spec, table.j = spec, spec.j
+        return table
 
     def __len__(self):
         return len(self.entries)
@@ -258,38 +297,88 @@ class CoeffTable:
 
     @classmethod
     def from_json(cls, text):
-        payload = json.loads(text)
-        spec = None
-        if payload.get("spec") is not None:
-            spec = ExpansionSpec(**payload["spec"])
-        try:
-            rows, terminated = payload["entries"], payload["terminated"]
-        except KeyError as exc:
-            raise ValueError(f"CoeffTable JSON lacks the key {exc}") from None
+        """Read what to_json writes; any other payload raises ValueError,
+        which names the key or the entry at fault."""
+        payload = _json_object(json.loads(text), "payload",
+                               ("entries", "terminated"), ("spec", "j"))
+        spec = payload.get("spec")
+        if spec is not None:
+            spec = ExpansionSpec(**_json_object(
+                spec, "spec", ("n", "j", "r1", "r2"), ("l_max",)))
+        rows, terminated = payload["entries"], payload["terminated"]
+        if not isinstance(rows, list):
+            raise ValueError(f"CoeffTable JSON 'entries' must be a list, "
+                             f"got {rows!r}")
+        if not isinstance(terminated, bool):
+            raise ValueError(f"CoeffTable JSON 'terminated' must be true or "
+                             f"false, got {terminated!r}")
         entries = {}
         for i, e in enumerate(rows):
-            try:
-                entries[e["l"], e["lp"]] = e["value"]
-            except KeyError as exc:
-                raise ValueError(f"CoeffTable JSON entry {i} lacks the key "
-                                 f"{exc}") from None
+            e = _json_object(e, f"entry {i}", ("l", "lp", "value"))
+            value = e["value"]
+            if type(value) not in (int, float):
+                raise ValueError(f"CoeffTable JSON entry {i}: 'value' must "
+                                 f"be a number, got {value!r}")
+            entries[e["l"], e["lp"]] = value
         return cls(entries, terminated, spec=spec, j=payload.get("j"))
 
 
-def _pair_range(j, l):
-    """Admissible lp values for given (j, l)."""
-    return range(abs(j - l), j + l + 1, 2)
+def _json_object(value, where, required, optional=()):
+    """value, if it is a JSON object with every required key and no keys
+    but those and the optional ones; ValueError naming where otherwise."""
+    if not isinstance(value, dict):
+        raise ValueError(f"CoeffTable JSON {where} must be an object, got "
+                         f"{value!r}")
+    for key in required:
+        if key not in value:
+            raise ValueError(f"CoeffTable JSON {where} lacks the key {key!r}")
+    for key in value:
+        if key not in required and key not in optional:
+            raise ValueError(f"CoeffTable JSON {where} holds the unknown key "
+                             f"{key!r}")
+    return value
 
 
 def expand_translated(spec):
-    """All coefficients B^{(n j)}_{l lp} with l <= spec.l_max."""
-    entries = {}
-    for l in range(spec.l_max + 1):
-        for lp in _pair_range(spec.j, l):
-            val = b_coeff(spec, l, lp)
-            if val != 0.0:
-                entries[(l, lp)] = val
-    return CoeffTable(entries, spec.terminated, spec=spec)
+    """All coefficients B^{(n j)}_{l lp} with l <= spec.l_max, nonzero ones
+    keyed l-major with lp ascending: b_coeff's values in one array pass.
+
+    Raises what b_coeff raises at the first (l, lp) in that order where it
+    raises.
+    """
+    n, j, l_max = spec.n, spec.j, spec.l_max
+    # Row l holds lp = |j - l|, ..., j + l in steps of 2: ka = (j + l - lp)
+    # / 2 = min(j, l), ..., 0 and kb = l - ka.
+    l, col = np.nonzero(j - np.arange(j + 1) <= np.arange(l_max + 1)[:, None])
+    ka = j - col
+    kb = l - ka
+    lp = j + l - 2 * ka
+    # The Pochhammer ratio of every (ka, kb) from one running product per
+    # ka, which accumulate takes in b_coeff's order: the a-steps down
+    # column 0, then the b-steps along row ka.
+    a0, b0 = _pochhammer_bases(n, j)
+    steps = np.empty((j + 1, l_max + 1))
+    steps[0, 0] = 1.0
+    steps[1:, 0] = _a_step(a0, np.arange(j))
+    np.multiply.accumulate(steps[:, 0], out=steps[:, 0])
+    steps[:, 1:] = _b_step(b0, np.arange(j + 1)[:, None], np.arange(l_max))
+    ratio = np.multiply.accumulate(steps, axis=1)[ka, kb]
+    live = ratio != 0.0
+    l, lp, ratio = l[live], lp[live], ratio[live]
+    a, b = _hyp_args(n, l, lp)
+    hyp, fail = _hyp2f1_array(a, b, l + 2, (spec.r1 / spec.r2) ** 2, spec.ctl)
+    leads = np.array([_lead(spec, x) for x in range(l_max + 1)])
+    with np.errstate(all="ignore"):
+        value = _b_value(leads[l], lp, j, ratio, hyp)
+    fail |= ~np.isfinite(value)
+    if fail.any():
+        # b_coeff raises the very error of the scalar route here.
+        i = int(fail.argmax())
+        b_coeff(spec, int(l[i]), int(lp[i]))
+    keep = value != 0.0
+    entries = dict(zip(zip(l[keep].tolist(), lp[keep].tolist()),
+                       value[keep].tolist()))
+    return CoeffTable._of_spec(entries, spec)
 
 
 def expand_radial_function(taylor, j, r1, r2, l_max=30, ctl=DEFAULT_SERIES):

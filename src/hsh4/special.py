@@ -42,12 +42,15 @@ def _rank(name, value, low=0):
 
 def _floats(name, value, dtype=float):
     """value as a float (or complex) array; ValueError naming it for a Python
-    int past the float range, which numpy reports as a bare OverflowError."""
+    int past the float range, which numpy reports as a bare OverflowError,
+    and for what is no number at all, such as a string or None."""
     try:
         return np.asarray(value, dtype=dtype)
     except OverflowError:
         raise ValueError(f"{name} must fit a float, got an integer past "
                          f"the float range") from None
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be numeric, got {value!r}") from None
 
 
 def _finite(**values):
@@ -63,9 +66,10 @@ def _finite(**values):
         else:
             arr = np.asarray(value)
             # np.isfinite rejects object arrays, such as one holding an int
-            # past the float range; complex, so that complex entries pass.
-            if arr.dtype == object:
-                arr = _floats(name, arr, complex)
+            # past the float range, and strings; complex, so that complex
+            # entries pass.
+            if arr.dtype.kind not in "biufc":
+                arr = _floats(name, value, complex)
             ok = np.isfinite(arr).all()
         if not ok:
             raise ValueError(f"{name} must be finite, got {value!r}")
@@ -138,6 +142,12 @@ def _nonpositive_int(a):
     return a <= 0 and a == int(a)
 
 
+def _hyp2f1_ratio(a, b, c, z, k):
+    """Term k + 1 over term k of the 2F1 series, on scalars or arrays: the
+    one expression that hyp2f1 and _hyp2f1_array step by."""
+    return (a + k) * (b + k) / ((c + k) * (k + 1)) * z
+
+
 def hyp2f1(a, b, c, z, ctl=DEFAULT_SERIES):
     """Gauss hypergeometric series 2F1(a, b; c; z).
 
@@ -150,9 +160,7 @@ def hyp2f1(a, b, c, z, ctl=DEFAULT_SERIES):
     """
     # The sum is non-finite whenever an argument is, and overflows when an
     # int argument is past the float range, so the full check, which names
-    # the argument, runs only then.  b_coeff calls this once per table
-    # entry, where _finite alone would add ~1.1 us a call, ~15% of an
-    # l_max = 60 table.
+    # the argument, runs only then.
     try:
         ok = math.isfinite(a + b + c + z)
     except OverflowError:
@@ -176,7 +184,7 @@ def hyp2f1(a, b, c, z, ctl=DEFAULT_SERIES):
     term = 1.0
     total = 1.0
     for k in range(n_terms):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
+        term *= _hyp2f1_ratio(a, b, c, z, k)
         total += term
         if not terminating and abs(term) <= ctl.tol * abs(total):
             break
@@ -188,6 +196,72 @@ def hyp2f1(a, b, c, z, ctl=DEFAULT_SERIES):
         raise ValueError(f"hyp2f1: the partial sums of 2F1({a}, {b}; {c}; "
                          f"{z}) exceed the float range")
     return total
+
+
+_HYP_CELLS = 1 << 16  # entries x terms per block of _hyp2f1_array
+
+
+def _hyp2f1_array(a, b, c, z, ctl=DEFAULT_SERIES):
+    """hyp2f1 over 1-D arrays of finite a, b and of c > 0, at one z, and the
+    mask of the entries where hyp2f1 raises.
+
+    Every entry adds hyp2f1's terms in hyp2f1's order and stops where it
+    stops, so each sum that does not raise equals hyp2f1's bit for bit.  The
+    terms run in blocks of steps shared by the entries still open: a running
+    product of _hyp2f1_ratio gives the terms and a running sum the partial
+    sums, each carried on from the block before.
+    """
+    ab = np.array((a, b))
+    limit = np.where((ab <= 0) & (ab == np.trunc(ab)), -ab, np.inf).min(0)
+    terminating = limit < np.inf
+    limit[~terminating] = ctl.max_terms
+    fail = ~terminating if abs(z) >= 1.0 else np.zeros(len(a), dtype=bool)
+    total = np.ones(len(a))
+    # The open entries and their a, b, c, step limit and terminating flag;
+    # each has run hyp2f1's loop up to k = done, to the term and partial
+    # sum carried.
+    rows = np.flatnonzero(~fail & (limit > 0))
+    args = np.array((a, b, c, limit, terminating))[:, rows]
+    carry, done = np.ones((2, len(rows))), 0
+    # A first block about as long as a geometric series in z takes to drop
+    # under ctl.tol, then doubling ones, each at most _HYP_CELLS entries x
+    # steps (or one step); block sizes only set the pace.
+    block = (max(4, int(math.log(ctl.tol) / math.log(abs(z))) + 4)
+             if 0.0 < abs(z) < 1.0 else 16)
+    with np.errstate(all="ignore"):  # terms past an entry's stop are unread
+        while len(rows):
+            lim, term_ok = args[3] - done, args[4] == 1.0
+            width = int(min(block, lim.max(),
+                            max(1, _HYP_CELLS // len(rows))))
+            terms = np.empty((len(rows), width + 1))
+            terms[:, 0] = carry[0]
+            terms[:, 1:] = _hyp2f1_ratio(*args[:3, :, None], z, np.arange(
+                done, done + width, dtype=float))
+            np.multiply.accumulate(terms, axis=1, out=terms)
+            parts = terms.copy()
+            parts[:, 0] = carry[1]
+            np.add.accumulate(parts, axis=1, out=parts)
+            # Step s of the block, hyp2f1's k = done + s - 1, is the last
+            # of a terminating series at s = lim, and of any other at its
+            # first term under ctl.tol (column s - 1 of small; the last
+            # column stands for none), or at s = lim without one.
+            small = np.ones((len(rows), width + 1), dtype=bool)
+            np.less_equal(np.abs(terms[:, 1:]), ctl.tol * np.abs(parts[:, 1:]),
+                          out=small[:, :width])
+            small[term_ok, :width] = False
+            first = small.argmax(1) + 1
+            stop = np.minimum(first, lim)
+            end = stop <= width
+            fail[rows[end & (stop < first) & ~term_ok]] = True
+            total[rows[end]] = parts[end, stop[end].astype(np.intp)]
+            if end.all():
+                break
+            carry = np.array((terms[:, -1], parts[:, -1]))[:, ~end]
+            rows, args = rows[~end], args[:, ~end]
+            done += width
+            block *= 2
+    fail |= ~np.isfinite(total)
+    return total, fail
 
 
 def hyp0f1(c, z, ctl=DEFAULT_SERIES):

@@ -309,3 +309,19 @@ def test_cg_entries_are_the_nonzero_cgc3(monkeypatch):
     assert got == sorted(want)
     np.testing.assert_allclose(value, [want[k] for k in got], rtol=0,
                                atol=1e-15)
+    # A mixed batch: the triangles above with broken triples (a side too
+    # short, odd parity, j past j1 + j2) set between them, first and last.
+    # The broken ones add no entry, and the rest are the triangles' own
+    # entries bit for bit, at their positions in the mixed batch.
+    broken = [(0, 12, 2), (3, 4, 8), (5, 5, 1), (12, 0, 2), (1, 2, 4)]
+    mixed, where = [], []
+    for i, triple in enumerate(triples):
+        if i % 9 == 0:
+            mixed.append(broken[(i // 9) % len(broken)])
+        where.append(len(mixed))
+        mixed.append(triple)
+    mixed.append(broken[-1])
+    mt, mtm1, mtm2, mvalue = _cg_entries(*np.array(mixed).T)
+    np.testing.assert_array_equal(mt, np.array(where)[t])
+    for a, b in zip((mtm1, mtm2, mvalue), (tm1, tm2, value)):
+        np.testing.assert_array_equal(a, b)

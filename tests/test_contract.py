@@ -468,6 +468,21 @@ PROBES = [
     pytest.param(lambda: multipole.CoeffTable.from_json(
         '{"terminated": false, "entries": [{"l": 1, "value": 1.0}]}'),
                  "'lp'", id="json-entry-no-lp"),
+    pytest.param(lambda: multipole.CoeffTable.from_json(
+        '{"spec": {"n": 1}, "terminated": false, "entries": []}'), "'j'",
+                 id="json-spec-missing-keys"),
+    pytest.param(lambda: multipole.CoeffTable.from_json(
+        '{"spec": {"n": 1, "j": 1, "r1": 0.5, "r2": 1, "m": 2}, '
+        '"terminated": false, "entries": []}'), "'m'",
+                 id="json-spec-unknown-key"),
+    pytest.param(lambda: multipole.CoeffTable.from_json('[]'), "payload",
+                 id="json-not-an-object"),
+    pytest.param(lambda: multipole.CoeffTable.from_json(
+        '{"terminated": false, "entries": [3]}'), "entry 0",
+                 id="json-entry-not-an-object"),
+    pytest.param(lambda: multipole.CoeffTable.from_json(
+        '{"terminated": false, "entries": [{"l": 0, "lp": 0, '
+        '"value": "x"}]}'), "'value'", id="json-entry-value-not-a-number"),
     pytest.param(lambda: multipole.CoeffTable.from_csv("l,lp,value\n1,1\n"),
                  "row 2", id="csv-short-row"),
     pytest.param(lambda: multipole.CoeffTable.from_csv(

@@ -12,6 +12,7 @@ from hsh4.multipole import (CoeffTable, ExpansionSpec, admissible_pair,
                             expand_translated, laplacian_power,
                             plane_wave_radial, scalar_power_coeff)
 from hsh4.harmonics import c_components, cos4
+from hsh4.special import ConvergenceError, SeriesControl
 
 
 def _unit(rng):
@@ -352,6 +353,53 @@ def test_expand_translated_at_l_max_200():
     for l in (0, 157, 158, 200):
         assert table[(l, l)] == pytest.approx((l + 1) * (-0.5) ** l,
                                               rel=1e-12)
+
+
+def _b_coeff_table(spec):
+    """expand_translated's entries by the b_coeff loop, in table order."""
+    entries = {}
+    for l in range(spec.l_max + 1):
+        for lp in range(abs(spec.j - l), spec.j + l + 1, 2):
+            value = b_coeff(spec, l, lp)
+            if value != 0.0:
+                entries[l, lp] = value
+    return entries
+
+
+ARRAY_TABLE_SPECS = [
+    (n, j, ratio, 24)
+    # terminating n >= j, whose exact zeros end the table; half-integer n;
+    # and a pole order, each at r1 = 0 too
+    for n, j in ((4.0, 2), (6.0, 6), (5.0, 1), (-2.5, 3), (1.5, 6), (-3.0, 0))
+    for ratio in (0.0, 0.2, 0.5, 0.9)
+] + [(-2.5, 2, 0.9, 200), (6.0, 4, 0.5, 200), (-0.5, 6, 0.2, 200),
+     (-3.0, 1, 0.0, 200)]
+
+
+@pytest.mark.parametrize("n, j, ratio, l_max", ARRAY_TABLE_SPECS)
+def test_array_table_is_the_b_coeff_loop(n, j, ratio, l_max):
+    spec = ExpansionSpec(n, j, ratio, 1.0, l_max=l_max)
+    got = expand_translated(spec).entries
+    # the same keys in the same order, and the same floats bit for bit
+    assert list(got.items()) == list(_b_coeff_table(spec).items())
+
+
+@pytest.mark.parametrize("spec", [
+    ExpansionSpec(-2.5, 2, 0.5, 1.0, l_max=10,
+                  ctl=SeriesControl(max_terms=3)),
+    # converges up to l = 11, and at l = 12 not within 21 terms
+    ExpansionSpec(-3.0, 4, 0.45, 1.0, l_max=30,
+                  ctl=SeriesControl(max_terms=21)),
+    ExpansionSpec(2, 0, 1e199, 1e200, l_max=2),  # B past the float range
+    ExpansionSpec(-2000.5, 2, 0.9, 1.0, l_max=4),  # 2F1 past it
+], ids=["max-terms-3", "max-terms-21", "overflow-b", "overflow-2f1"])
+def test_array_table_raises_what_b_coeff_raises(spec):
+    with pytest.raises((ValueError, ConvergenceError)) as scalar:
+        _b_coeff_table(spec)
+    with pytest.raises((ValueError, ConvergenceError)) as array:
+        expand_translated(spec)
+    assert array.type is scalar.type
+    assert str(array.value) == str(scalar.value)
 
 
 def test_eval_expansion_rejects_other_rank():

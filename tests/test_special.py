@@ -8,7 +8,8 @@ import scipy.special as sp
 
 from hsh4.angular import _legendre_rows
 from hsh4.special import (ConvergenceError, DEFAULT_SERIES, SeriesControl,
-                          hyp0f1, hyp2f1, log_factorial, pochhammer)
+                          _hyp2f1_array, hyp0f1, hyp2f1, log_factorial,
+                          pochhammer)
 
 
 def test_series_control_validation():
@@ -107,3 +108,36 @@ def test_hyp0f1_cap():
     with pytest.raises(ConvergenceError, match=r"hyp0f1\(1.5; 10000.0\) did "
                        r"not converge in 5 terms"):
         hyp0f1(1.5, 1e4, SeriesControl(max_terms=5))
+
+
+# (a, b, c, z, ctl): converging, terminating and failing series, one batch
+# per (z, ctl) as _hyp2f1_array takes them.
+HYP_BATCHES = [
+    ([(0.5, 1.5, 2, 0.3), (-0.75, 2.25, 7, 0.3), (3.0, -4.0, 2, 0.3),
+      (-3.0, 0.0, 5, 0.3), (2.5, 60.5, 62, 0.3)], DEFAULT_SERIES),
+    # A terminating series whose first term lies under the tolerance but
+    # whose next ones do not: it runs to its end all the same.
+    ([(-5.0, 1e-21, 2, 1e6), (-3.0, -2.0, 4, 1e6), (0.5, 0.5, 2, 1e6)],
+     DEFAULT_SERIES),
+    # Too few terms for some (ConvergenceError), partial sums past the
+    # float range for one (ValueError).
+    ([(0.5, 1.5, 2, 0.81), (-1.0, 1.5, 2, 0.81), (0.5, 0.5, 400, 0.81)],
+     SeriesControl(max_terms=30)),
+    ([(999.25, 1000.25, 2, 0.81), (0.5, 1.5, 2, 0.81)], DEFAULT_SERIES),
+    ([(0.5, 1.5, 2, 0.0), (-2.0, 1.5, 3, 0.0)], DEFAULT_SERIES),
+    # |z| >= 1: an infinite series raises even where its terms fall fast.
+    ([(0.5, 0.5, 400, 1.01), (-2.0, 0.5, 3, 1.01)], DEFAULT_SERIES),
+]
+
+
+@pytest.mark.parametrize("args, ctl", HYP_BATCHES)
+def test_hyp2f1_array_stops_where_hyp2f1_stops(args, ctl):
+    a, b, c, z = (np.array(x) for x in zip(*args))
+    total, fail = _hyp2f1_array(a, b, c, z[0], ctl)
+    for i, arg in enumerate(args):
+        try:
+            ref = hyp2f1(*arg, ctl)
+        except (ValueError, ConvergenceError):
+            assert fail[i], arg
+        else:
+            assert not fail[i] and total[i] == ref, arg
